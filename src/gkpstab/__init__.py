@@ -7,6 +7,8 @@ available both in closed form and from seeded Monte Carlo.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .analytic import (
     MixturePdf,
     cell_masses,
@@ -31,10 +33,8 @@ from .codes import (
 )
 from .decoders import (
     DecodeOutcome,
-    decode_gaussian_repetition,
-    decode_gkp_repetition,
-    decode_gkp_squeezed_repetition,
-    decode_gkp_tms,
+    Decoder,
+    Read,
     gaussian_repetition_decoder,
     gkp_repetition_decoder,
     gkp_squeezed_repetition_decoder,
@@ -78,70 +78,9 @@ from .symplectic import (
     two_mode_squeeze,
 )
 
-__all__ = [
-    "__version__",
-    "MixturePdf",
-    "cell_masses",
-    "gaussian_pdf",
-    "gkp_repetition_pdfs",
-    "gkp_repetition_stds",
-    "tms_asymptotic_optimum",
-    "tms_mixture",
-    "tms_variance",
-    "tms_variance_erfc_approx",
-    "tms_variance_noisy_gkp",
-    "CheckResult",
-    "run_all_checks",
-    "CodeSpec",
-    "gaussian_repetition",
-    "gkp_repetition",
-    "gkp_squeezed_repetition",
-    "gkp_tms",
-    "gkp_tms_pair",
-    "logical_gate",
-    "DecodeOutcome",
-    "decode_gaussian_repetition",
-    "decode_gkp_repetition",
-    "decode_gkp_squeezed_repetition",
-    "decode_gkp_tms",
-    "gaussian_repetition_decoder",
-    "gkp_repetition_decoder",
-    "gkp_squeezed_repetition_decoder",
-    "gkp_tms_decoder",
-    "mmse_coefficients",
-    "MODULAR_PERIOD",
-    "centered_mod",
-    "modular_measure",
-    "ComparisonReport",
-    "TrialReport",
-    "compare",
-    "run",
-    "IidNoiseModel",
-    "NoiseCovariance",
-    "gkp_db_from_sigma",
-    "gkp_sigma_from_db",
-    "gkp_sigma_from_delta",
-    "iid_covariance",
-    "loss_to_sigma",
-    "propagate_covariance",
-    "reshape_noise",
-    "sample_iid",
-    "stream_rng",
-    "GainOptimum",
-    "critical_gkp_squeezing_db",
-    "optimize",
-    "squeeze_db_from_gain",
-    "threshold_sigma",
-    "SymplecticTransform",
-    "apply",
-    "beam_splitter",
-    "compose",
-    "direct_sum",
-    "identity",
-    "inverse",
-    "is_symplectic",
-    "omega",
-    "single_mode_squeeze",
-    "sum_gate",
-    "two_mode_squeeze",
+# every public name imported above; the submodules themselves are not
+__all__ = ["__version__"] + [
+    name
+    for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import erf, erfc, ndtr
 
 from .modular import MODULAR_PERIOD
@@ -231,41 +230,37 @@ def tms_variance_noisy_gkp(sigma: float, sigma_gkp: float, gain: float) -> float
     return float(total)
 
 
+def _gkp_repetition_laws(sigma: float) -> tuple[MixturePdf, MixturePdf]:
+    # position: the mean of the two position noises, shifted half a period
+    # per wrap of their difference; momentum: a full period per wrap
+    ns_q, w_q = cell_masses(math.sqrt(2.0) * sigma)
+    ns_p, w_p = cell_masses(sigma)
+    return (
+        MixturePdf(w_q, 0.5 * _P * ns_q, sigma / math.sqrt(2.0)),
+        MixturePdf(w_p, _P * ns_p, sigma),
+    )
+
+
 def gkp_repetition_pdfs(xi, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """Densities of the logical (position, momentum) noise of the
     two-mode GKP repetition code, evaluated at the points `xi`.
 
-    The position density couples the difference of the two position
-    noises to the measurement cell; integrating out the in-cell value
-    leaves erf-weighted Gaussians at half-period spacing.  The momentum
-    density is a plain cell-mass mixture at full-period spacing.
-
-    For sigma << 1 only the central cell carries weight and the densities
-    reduce to N(0, sigma^2/2) and N(0, sigma^2), the paper's logical
-    spreads sigma/sqrt(2) and sigma.  The outer pieces are the syndromes
-    that wrapped into a neighbouring cell; see `gkp_repetition_stds` for
-    their share of the variance.
+    Both are cell-mass mixtures: Gaussians of width sigma/sqrt(2) at
+    half-period shifts weighted by the cells of N(0, 2 sigma^2), and of
+    width sigma at full-period shifts weighted by the cells of
+    N(0, sigma^2).  For sigma << 1 only the central cell carries weight:
+    the paper's logical spreads sigma/sqrt(2) and sigma.  The outer
+    pieces are syndromes that wrapped into a neighbouring cell.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    x = np.atleast_1d(np.asarray(xi, dtype=float))
-    half = 0.5 * _P
-    n_max = max(5, int(math.ceil((2.0 * np.abs(x).max() + 16.0 * sigma) / _P)) + 1)
-    ns = np.arange(-n_max, n_max + 1)
-    shift = _P * ns
-    gate = erf((shift + half) / (2.0 * sigma)) - erf((shift - half) / (2.0 * sigma))
-    envelope = np.exp(-((2.0 * x[:, None] + shift) ** 2) / (4.0 * sigma * sigma))
-    q_vals = (envelope * gate).sum(axis=1) / (2.0 * math.sqrt(math.pi) * sigma)
-
-    _, w = cell_masses(sigma, n_max)
-    p_vals = (gaussian_pdf(x[:, None] - shift, sigma) * w).sum(axis=1)
+    laws = _gkp_repetition_laws(sigma)
     if np.isscalar(xi) or np.ndim(xi) == 0:
-        return float(q_vals[0]), float(p_vals[0])
-    return q_vals, p_vals
+        return tuple(float(law.pdf(xi)) for law in laws)
+    x = np.asarray(xi, dtype=float)
+    return tuple(np.reshape(law.pdf(x), x.shape) for law in laws)
 
 
 def gkp_repetition_stds(sigma: float) -> tuple[float, float]:
-    """Standard deviations of the two densities above, by numeric moments.
+    """Standard deviations of the two densities above, in closed form.
 
     With w_n the mass of cell n under N(0, 2 sigma^2) for position and
     N(0, sigma^2) for momentum (see `cell_masses`), the variances are
@@ -281,24 +276,5 @@ def gkp_repetition_stds(sigma: float) -> tuple[float, float]:
     2 pi erfc(sqrt(2 pi) / (2 sqrt(2) sigma)) to var_p; in sigma_q that is
     +5.3% at sigma = 0.3 and +0.04% at sigma = 0.2.
     """
-    n_max = max(5, int(math.ceil(16.0 * sigma / _P)) + 1)
-    reach_q = 0.5 * _P * (n_max + 1) + 12.0 * sigma
-    reach_p = _P * (n_max + 1) + 12.0 * sigma
-    centers_q = [0.5 * _P * n for n in range(-n_max, n_max + 1)]
-    centers_p = [_P * n for n in range(-n_max, n_max + 1)]
-
-    def q_pdf(u):
-        return gkp_repetition_pdfs(u, sigma)[0]
-
-    def p_pdf(u):
-        return gkp_repetition_pdfs(u, sigma)[1]
-
-    out = []
-    for pdf, reach, centers in ((q_pdf, reach_q, centers_q), (p_pdf, reach_p, centers_p)):
-        norm, _ = quad(pdf, -reach, reach, points=centers, limit=50 + 8 * len(centers))
-        m2, _ = quad(lambda u: u * u * pdf(u), -reach, reach, points=centers,
-                     limit=50 + 8 * len(centers))
-        if abs(norm - 1.0) > 1e-6:
-            raise ArithmeticError(f"pdf normalization drifted to {norm} at sigma={sigma}")
-        out.append(math.sqrt(m2 / norm))
-    return out[0], out[1]
+    law_q, law_p = _gkp_repetition_laws(sigma)
+    return math.sqrt(law_q.variance()), math.sqrt(law_p.variance())

@@ -48,6 +48,7 @@ __all__ = [
     "cmd_fig8",
     "cmd_appendix_d",
     "cmd_sweep",
+    "SWEEP_CODES",
     "main",
 ]
 
@@ -75,9 +76,9 @@ class ExperimentConfig:
             raise ValueError(f"points must be >= 2, got {self.points}")
         if self.n_trials < 1:
             raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
-        if not 0 < self.sigma_min < self.sigma_max:
+        if not (math.isfinite(self.sigma_max) and 0 < self.sigma_min < self.sigma_max):
             raise ValueError(
-                f"need 0 < sigma_min < sigma_max, got "
+                f"need finite 0 < sigma_min < sigma_max, got "
                 f"[{self.sigma_min}, {self.sigma_max}]"
             )
 
@@ -220,6 +221,18 @@ def cmd_appendix_d(
     return out.text()
 
 
+# code name -> builder(sigma, n_modes, gain, lam, sigma_gkp) -> (code, decoder),
+# with the arguments abbreviated s, n, g, lam, t
+SWEEP_CODES = {
+    "gaussian-rep": lambda s, n, g, lam, t: (
+        gaussian_repetition(n), gaussian_repetition_decoder(n)),
+    "gkp-rep": lambda s, n, g, lam, t: (gkp_repetition(t), gkp_repetition_decoder(t)),
+    "gkp-tms": lambda s, n, g, lam, t: (gkp_tms(g, t), gkp_tms_decoder(g, s, t)),
+    "squeezed-rep": lambda s, n, g, lam, t: (
+        gkp_squeezed_repetition(n, lam, t), gkp_squeezed_repetition_decoder(n, lam, t)),
+}
+
+
 def cmd_sweep(
     config: ExperimentConfig,
     code_name: str,
@@ -229,6 +242,9 @@ def cmd_sweep(
     sigma_gkp: float = 0.0,
 ) -> str:
     """Monte Carlo summary of any built-in code over a noise grid."""
+    if code_name not in SWEEP_CODES:
+        raise ValueError(f"unknown code {code_name!r}")
+    build = SWEEP_CODES[code_name]
     out = _CsvBuilder("gkpstab.sweep", config.describe())
     out.comment(
         f"code={code_name} n_modes={n_modes} gain={gain:g} lam={lam:g} "
@@ -238,20 +254,7 @@ def cmd_sweep(
         ["sigma", "mean_q", "mean_p", "std_q", "std_p", "se_std_q", "se_std_p"]
     )
     for sigma in config.sigmas():
-        if code_name == "gaussian-rep":
-            code = gaussian_repetition(n_modes)
-            decoder = gaussian_repetition_decoder(n_modes)
-        elif code_name == "gkp-rep":
-            code = gkp_repetition(sigma_gkp)
-            decoder = gkp_repetition_decoder(sigma_gkp)
-        elif code_name == "gkp-tms":
-            code = gkp_tms(gain, sigma_gkp)
-            decoder = gkp_tms_decoder(gain, float(sigma), sigma_gkp)
-        elif code_name == "squeezed-rep":
-            code = gkp_squeezed_repetition(n_modes, lam, sigma_gkp)
-            decoder = gkp_squeezed_repetition_decoder(n_modes, lam, sigma_gkp)
-        else:
-            raise ValueError(f"unknown code {code_name!r}")
+        code, decoder = build(float(sigma), n_modes, gain, lam, sigma_gkp)
         report = run(
             code, decoder, float(sigma), config.n_trials, config.seed, config.shards
         )
@@ -305,11 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sw = subs.add_parser("sweep", help="Monte Carlo sweep of a built-in code")
     _add_grid_flags(sw, 0.05, 0.5, 10)
-    sw.add_argument(
-        "--code",
-        required=True,
-        choices=["gaussian-rep", "gkp-rep", "gkp-tms", "squeezed-rep"],
-    )
+    sw.add_argument("--code", required=True, choices=list(SWEEP_CODES))
     sw.add_argument("--modes", type=int, default=2)
     sw.add_argument("--gain", type=float, default=2.0)
     sw.add_argument("--lam", type=float, default=2.0)

@@ -1,17 +1,17 @@
 """Recovery maps estimating the logical noise from reshaped syndromes.
 
-Every decoder consumes the reshaped noise z = S^{-1} xi of one or more
-trials (shape (..., 2N)) and returns the residual logical quadrature
-noise after the correction displacements.  GKP ancilla syndromes pass
-through modular_measure, so finitely squeezed ancillas and modular
-wrap-around are both accounted for.
+Every code is decoded the same way: ancilla quadratures of the reshaped
+noise z = S^{-1} xi (shape (..., 2N)) are read one after another, each
+reduced modulo sqrt(2*pi) by modular_measure, and a linear correction
+over the reads is subtracted from the data mode.  A `Decoder` is only
+that data; the factories below fill it in for each built-in code.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,11 +21,9 @@ from .symplectic import inverse
 
 __all__ = [
     "DecodeOutcome",
-    "decode_gaussian_repetition",
-    "decode_gkp_repetition",
+    "Read",
+    "Decoder",
     "mmse_coefficients",
-    "decode_gkp_tms",
-    "decode_gkp_squeezed_repetition",
     "gaussian_repetition_decoder",
     "gkp_repetition_decoder",
     "gkp_tms_decoder",
@@ -41,42 +39,66 @@ class DecodeOutcome:
     xi_p: np.ndarray
 
 
-def _as_trials(z, n_modes: int) -> np.ndarray:
-    x = np.asarray(z, dtype=float)
-    if x.shape[-1] != 2 * n_modes:
-        raise ValueError(
-            f"syndrome length {x.shape[-1]} does not match {n_modes} modes"
+class Read(NamedTuple):
+    """z[..., column] minus weight * m_j for each (j, weight) in
+    `feed_forward` (j an earlier read), reduced modulo sqrt(2*pi) unless
+    the decoder is exact, then divided by `divisor`."""
+
+    column: int
+    feed_forward: tuple = ()
+    divisor: float = 1.0
+
+
+@dataclass(frozen=True)
+class Decoder:
+    """Modular reads followed by a linear correction of the data mode.
+
+    Calling it on z returns z_q^(1) - sum_k c_q[k] m_k and
+    z_p^(1) - sum_k c_p[k] m_k, with m_k the value of reads[k].  Reads
+    run in tuple order, which fixes the order of the random draws of
+    noisy ancillas (sigma_gkp > 0).  `exact` reads skip the reduction:
+    position-eigenstate ancillas reveal z itself.
+    """
+
+    n_modes: int
+    reads: tuple
+    c_q: tuple
+    c_p: tuple
+    sigma_gkp: float = 0.0
+    exact: bool = False
+
+    def __post_init__(self):
+        if not (math.isfinite(self.sigma_gkp) and self.sigma_gkp >= 0):
+            raise ValueError(f"sigma_gkp must be finite and >= 0, got {self.sigma_gkp}")
+        if not len(self.reads) == len(self.c_q) == len(self.c_p):
+            raise ValueError("need one c_q and one c_p weight per read")
+
+    def __call__(self, z, rng=None) -> DecodeOutcome:
+        x = np.asarray(z, dtype=float)
+        if x.shape[-1] != 2 * self.n_modes:
+            raise ValueError(f"syndrome width {x.shape[-1]} does not match {self.n_modes} modes")
+        gen = np.random.default_rng(rng) if self.sigma_gkp > 0 else None
+        values = []
+        for read in self.reads:
+            v = x[..., read.column]
+            for j, weight in read.feed_forward:
+                v = v - weight * values[j]
+            if not self.exact:
+                v = modular_measure(v, self.sigma_gkp, gen)
+            values.append(v if read.divisor == 1.0 else v / read.divisor)
+        return DecodeOutcome(
+            xi_q=x[..., 0] - _combine(self.c_q, values),
+            xi_p=x[..., 1] - _combine(self.c_p, values),
         )
-    return x
 
 
-def decode_gaussian_repetition(z, n_modes: int) -> DecodeOutcome:
-    """Maximum-likelihood recovery for the Gaussian repetition code.
-
-    Position-eigenstate ancillas expose the syndromes z_q^(k) exactly;
-    correcting by minus their sum over n leaves the mean of the n
-    position noises, with variance sigma^2/n.  Nothing can be measured
-    about momentum, so the accumulated ancilla momentum noise in
-    z_p^(1) is returned unchanged.
-    """
-    x = _as_trials(z, n_modes)
-    xi_q = x[..., 0] + x[..., 2::2].sum(axis=-1) / n_modes
-    xi_p = x[..., 1]
-    return DecodeOutcome(xi_q=xi_q, xi_p=xi_p)
-
-
-def decode_gkp_repetition(z, sigma_gkp: float = 0.0, rng=None) -> DecodeOutcome:
-    """Closed-form recovery for the two-mode GKP repetition code.
-
-    The ancilla syndromes are read modulo sqrt(2*pi); the position
-    correction applies half the measured value, the momentum correction
-    subtracts it.
-    """
-    x = _as_trials(z, 2)
-    gen = np.random.default_rng(rng)
-    m_q = modular_measure(x[..., 2], sigma_gkp, gen)
-    m_p = modular_measure(x[..., 3], sigma_gkp, gen)
-    return DecodeOutcome(xi_q=x[..., 0] + 0.5 * m_q, xi_p=x[..., 1] - m_p)
+def _combine(weights, values):
+    # sum of weight * value over the nonzero weights; starting from the
+    # first term rather than 0 saves one full-array pass, and a generator
+    # keeps at most two terms alive
+    terms = (c * v for c, v in zip(weights, values) if c)
+    first = next(terms, None)
+    return 0.0 if first is None else sum(terms, first)
 
 
 def mmse_coefficients(gain: float, sigma: float, sigma_gkp: float = 0.0) -> tuple[float, float]:
@@ -102,113 +124,54 @@ def mmse_coefficients(gain: float, sigma: float, sigma_gkp: float = 0.0) -> tupl
     return -c, c
 
 
-def decode_gkp_tms(z, gain: float, sigma: float, sigma_gkp: float = 0.0, rng=None) -> DecodeOutcome:
-    """MMSE recovery for the GKP two-mode squeezing code."""
-    x = _as_trials(z, 2)
-    c_q, c_p = mmse_coefficients(gain, sigma, sigma_gkp)
-    gen = np.random.default_rng(rng)
-    m_q = modular_measure(x[..., 2], sigma_gkp, gen)
-    m_p = modular_measure(x[..., 3], sigma_gkp, gen)
-    return DecodeOutcome(xi_q=x[..., 0] - c_q * m_q, xi_p=x[..., 1] - c_p * m_p)
+def gaussian_repetition_decoder(n_modes: int) -> Decoder:
+    """Maximum-likelihood recovery for the Gaussian repetition code.
 
-
-@lru_cache(maxsize=64)
-def _squeezed_chain(n_modes: int, lam: float):
-    """Precompute the measurement-chain coefficients for the squeezed code.
-
-    Reads them off the inverse encoder: the ancilla position rows must be
-    bidiagonal (pairing each mode with its predecessor) and the momentum
-    rows upper triangular, which the recursion guarantees.
+    Position-eigenstate ancillas expose z_q^(k) exactly; correcting by
+    minus their sum over n leaves the mean of the n position noises.
+    Nothing is learnt about momentum, so z_p^(1) is returned unchanged.
     """
-    enc = codes.gkp_squeezed_repetition(n_modes, lam).encoder
-    t = inverse(enc).matrix
-    n = n_modes
-    tq = t[0::2, 0::2]
-    tp = t[1::2, 1::2]
-    scale = 1e-9 * lam ** (n - 1)
-    if np.abs(t[0::2, 1::2]).max() > scale or np.abs(t[1::2, 0::2]).max() > scale:
-        raise RuntimeError("inverse encoder mixes position and momentum")
-    expect_zero = max(np.abs(np.triu(tq[1:, 1:], 1)).max(), np.abs(tq[0, 1:]).max())
-    for k in range(1, n):
-        row = np.abs(tq[k, : k - 1])
-        expect_zero = max(expect_zero, row.max() if row.size else 0.0)
-    if expect_zero > scale or np.abs(np.tril(tp, -1)).max() > scale:
-        raise RuntimeError("inverse encoder lacks the expected chain structure")
-    # position estimate: coefficients c_k with sum_k c_k z_q^(k)
-    # reproducing z_q^(1) while the intermediate noises telescope away
-    coeffs = np.zeros(n)
-    c = tq[0, 0] / tq[1, 0]
-    coeffs[1] = c
-    for k in range(1, n - 1):
-        c = -c * tq[k, k] / tq[k + 1, k]
-        coeffs[k + 1] = c
-    return coeffs, tp
+    reads = tuple(Read(2 * k) for k in range(1, n_modes))
+    weights = (-1.0 / n_modes,) * len(reads)
+    return Decoder(n_modes, reads, weights, (0.0,) * len(reads), exact=True)
 
 
-def _decode_squeezed(x, n_modes, coeffs, tp, sigma_gkp, gen):
-    est = np.zeros(x.shape[:-1])
-    for k in range(1, n_modes):
-        est = est + coeffs[k] * modular_measure(x[..., 2 * k], sigma_gkp, gen)
-    xi_q = x[..., 0] - est
-    # momentum chain runs backwards, subtracting transferred noise from
-    # the later modes before each measurement
-    estimates = [None] * n_modes
-    for k in range(n_modes - 1, 0, -1):
-        acc = x[..., 2 * k + 1]
-        for j in range(k + 1, n_modes):
-            acc = acc - tp[k, j] * estimates[j]
-        estimates[k] = modular_measure(acc, sigma_gkp, gen) / tp[k, k]
-    xi_p = x[..., 1]
-    for j in range(1, n_modes):
-        xi_p = xi_p - tp[0, j] * estimates[j]
-    return DecodeOutcome(xi_q=xi_q, xi_p=xi_p)
+def gkp_repetition_decoder(sigma_gkp: float = 0.0) -> Decoder:
+    """Two-mode GKP repetition code: half the ancilla position is added
+    to the data position, the ancilla momentum subtracted from its momentum."""
+    return Decoder(2, (Read(2), Read(3)), (-0.5, 0.0), (0.0, 1.0), sigma_gkp)
 
 
-def decode_gkp_squeezed_repetition(
-    z, n_modes: int, lam: float, sigma_gkp: float = 0.0, rng=None
-) -> DecodeOutcome:
+def gkp_tms_decoder(gain: float, sigma: float, sigma_gkp: float = 0.0) -> Decoder:
+    """MMSE recovery for the GKP two-mode squeezing code."""
+    c_q, c_p = mmse_coefficients(gain, sigma, sigma_gkp)
+    return Decoder(2, (Read(2), Read(3)), (c_q, 0.0), (0.0, c_p), sigma_gkp)
+
+
+def gkp_squeezed_repetition_decoder(n_modes: int, lam: float, sigma_gkp: float = 0.0) -> Decoder:
     """Sequential chain recovery for the N-mode GKP squeezed repetition code.
 
-    Ancilla positions are measured in mode order; their weighted sum
+    Ancilla positions are read in mode order; their weighted sum
     estimates the amplified data position noise, leaving a residual of
-    order sigma/lam^(N-1).  Ancilla momenta are measured from the last
-    mode backwards, undoing the transferred noise before each
-    measurement, which leaves the same residual on momentum.
+    order sigma/lam^(N-1).  Ancilla momenta are read from the last mode
+    backwards, feeding forward the transferred noise of the later modes,
+    which leaves the same residual on momentum.  The weights come from
+    the inverse encoder, whose position block pairs each mode with its
+    predecessor and whose momentum block is upper triangular.
     """
-    x = _as_trials(z, n_modes)
-    coeffs, tp = _squeezed_chain(n_modes, lam)
-    gen = np.random.default_rng(rng)
-    return _decode_squeezed(x, n_modes, coeffs, tp, sigma_gkp, gen)
-
-
-def gaussian_repetition_decoder(n_modes: int):
-    """Decoder callable for monte_carlo.run."""
-
-    def dec(z, rng):
-        return decode_gaussian_repetition(z, n_modes)
-
-    return dec
-
-
-def gkp_repetition_decoder(sigma_gkp: float = 0.0):
-    def dec(z, rng):
-        return decode_gkp_repetition(z, sigma_gkp, rng)
-
-    return dec
-
-
-def gkp_tms_decoder(gain: float, sigma: float, sigma_gkp: float = 0.0):
-    def dec(z, rng):
-        return decode_gkp_tms(z, gain, sigma, sigma_gkp, rng)
-
-    return dec
-
-
-def gkp_squeezed_repetition_decoder(n_modes: int, lam: float, sigma_gkp: float = 0.0):
-    coeffs, tp = _squeezed_chain(n_modes, lam)
-
-    def dec(z, rng):
-        x = _as_trials(z, n_modes)
-        return _decode_squeezed(x, n_modes, coeffs, tp, sigma_gkp, np.random.default_rng(rng))
-
-    return dec
+    t = inverse(codes.gkp_squeezed_repetition(n_modes, lam).encoder).matrix
+    tq, tp = t[0::2, 0::2].tolist(), t[1::2, 1::2].tolist()
+    # position weights make the intermediate noises telescope away
+    c_q = [tq[0][0] / tq[1][0]]
+    for k in range(1, n_modes - 1):
+        c_q.append(-c_q[-1] * tq[k][k] / tq[k + 1][k])
+    # momentum reads follow the position reads, last mode first, so the
+    # momentum of mode j is read number 2 * n_modes - 2 - j
+    back = range(n_modes - 1, 0, -1)
+    reads = [Read(2 * k) for k in range(1, n_modes)]
+    for k in back:
+        feed = tuple((2 * n_modes - 2 - j, tp[k][j]) for j in range(k + 1, n_modes))
+        reads.append(Read(2 * k + 1, feed, tp[k][k]))
+    zeros = [0.0] * (n_modes - 1)
+    c_p = zeros + [tp[0][k] for k in back]
+    return Decoder(n_modes, tuple(reads), tuple(c_q + zeros), tuple(c_p), sigma_gkp)

@@ -116,8 +116,8 @@ def run(
         raise ValueError(f"n_trials must be positive, got {n_trials}")
     if shards < 1:
         raise ValueError(f"shards must be positive, got {shards}")
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     t_inv = inverse(code.encoder).matrix.T.copy()
 
     pilot_gen = stream_rng(seed, _PILOT_STREAM)

@@ -5,6 +5,7 @@ import pytest
 
 from gkpstab.checks import check_symplectic_randomized, run_all_checks
 from gkpstab.cli import (
+    SWEEP_CODES,
     ExperimentConfig,
     cmd_appendix_d,
     cmd_fig3,
@@ -117,6 +118,18 @@ def test_sweep_gaussian_repetition():
     assert row[4] == pytest.approx(0.2 * math.sqrt(3), rel=0.05)
 
 
+@pytest.mark.parametrize("code_name", sorted(SWEEP_CODES))
+def test_sweep_runs_every_registered_code(code_name):
+    config = ExperimentConfig(
+        "sweep", sigma_min=0.05, sigma_max=0.1, points=2, n_trials=2_000, seed=8
+    )
+    text = cmd_sweep(config, code_name, n_modes=3, sigma_gkp=0.02)
+    assert f"# code={code_name} " in text
+    header, rows = _rows(text)
+    assert len(header) == 7 and len(rows) == 2
+    assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig("fig3", points=1)
@@ -124,6 +137,12 @@ def test_config_validation():
         ExperimentConfig("fig3", n_trials=0)
     with pytest.raises(ValueError):
         ExperimentConfig("fig3", sigma_min=0.3, sigma_max=0.1)
+
+
+def test_config_rejects_non_finite_grid():
+    for lo, hi in [(0.1, math.inf), (math.nan, 0.3), (0.1, math.nan)]:
+        with pytest.raises(ValueError):
+            ExperimentConfig("fig3", sigma_min=lo, sigma_max=hi)
 
 
 def test_main_writes_file_and_reports_success(tmp_path):
@@ -151,6 +170,9 @@ def test_main_exit_codes(capsys):
     assert err.value.code == 2
     with pytest.raises(SystemExit) as err:
         main(["nonsense"])
+    assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["sweep", "--code", "nonsense"])
     assert err.value.code == 2
     # a lambda at or below 1 cannot build the squeezed repetition code
     with pytest.raises(SystemExit) as err:

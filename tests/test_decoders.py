@@ -10,17 +10,15 @@ from gkpstab.codes import (
     gkp_tms,
 )
 from gkpstab.decoders import (
-    decode_gaussian_repetition,
-    decode_gkp_repetition,
-    decode_gkp_squeezed_repetition,
-    decode_gkp_tms,
     gaussian_repetition_decoder,
     gkp_repetition_decoder,
     gkp_squeezed_repetition_decoder,
     gkp_tms_decoder,
     mmse_coefficients,
 )
+from gkpstab.modular import modular_measure
 from gkpstab.noise import reshape_noise, stream_rng
+from gkpstab.symplectic import inverse
 
 
 def test_gaussian_repetition_small_noise_algebra():
@@ -30,14 +28,14 @@ def test_gaussian_repetition_small_noise_algebra():
     code = gaussian_repetition(n)
     gen = stream_rng(21, 0)
     xi = gen.normal(0.0, 0.2, (500, 2 * n))
-    out = decode_gaussian_repetition(reshape_noise(code.encoder, xi), n)
+    out = gaussian_repetition_decoder(n)(reshape_noise(code.encoder, xi), None)
     assert np.allclose(out.xi_q, xi[:, 0::2].mean(axis=1), atol=1e-12)
     assert np.allclose(out.xi_p, xi[:, 1::2].sum(axis=1), atol=1e-12)
 
 
 def test_gaussian_repetition_rejects_bad_width():
     with pytest.raises(ValueError):
-        decode_gaussian_repetition(np.zeros((4, 6)), 2)
+        gaussian_repetition_decoder(2)(np.zeros((4, 6)), None)
 
 
 def test_gkp_repetition_small_noise_is_symmetrized():
@@ -46,21 +44,21 @@ def test_gkp_repetition_small_noise_is_symmetrized():
     code = gkp_repetition()
     gen = stream_rng(21, 1)
     xi = gen.normal(0.0, 0.05, (1000, 4))
-    out = decode_gkp_repetition(reshape_noise(code.encoder, xi))
+    out = gkp_repetition_decoder()(reshape_noise(code.encoder, xi), None)
     assert np.allclose(out.xi_q, 0.5 * (xi[:, 0] + xi[:, 2]), atol=1e-12)
     assert np.allclose(out.xi_p, xi[:, 1], atol=1e-12)
 
 
 def test_gkp_repetition_zero_noise():
-    out = decode_gkp_repetition(np.zeros(4))
+    out = gkp_repetition_decoder()(np.zeros(4), None)
     assert out.xi_q == 0.0 and out.xi_p == 0.0
 
 
 def test_gkp_repetition_noisy_ancilla_reproducible():
     z = stream_rng(21, 2).normal(0.0, 0.3, (50, 4))
-    a = decode_gkp_repetition(z, sigma_gkp=0.1, rng=5)
-    b = decode_gkp_repetition(z, sigma_gkp=0.1, rng=5)
-    c = decode_gkp_repetition(z, sigma_gkp=0.1, rng=6)
+    a = gkp_repetition_decoder(0.1)(z, 5)
+    b = gkp_repetition_decoder(0.1)(z, 5)
+    c = gkp_repetition_decoder(0.1)(z, 6)
     assert np.array_equal(a.xi_q, b.xi_q) and np.array_equal(a.xi_p, b.xi_p)
     assert not np.array_equal(a.xi_q, c.xi_q)
 
@@ -100,7 +98,7 @@ def test_gkp_tms_small_noise_linearization():
     gen = stream_rng(21, 4)
     xi = gen.normal(0.0, sigma, (2000, 4))
     z = reshape_noise(code.encoder, xi)
-    out = decode_gkp_tms(z, gain, sigma)
+    out = gkp_tms_decoder(gain, sigma)(z, None)
     c_q, c_p = mmse_coefficients(gain, sigma)
     assert np.allclose(out.xi_q, z[:, 0] - c_q * z[:, 2], atol=1e-12)
     assert np.allclose(out.xi_p, z[:, 1] - c_p * z[:, 3], atol=1e-12)
@@ -117,8 +115,8 @@ def test_squeezed_repetition_single_component_responses(n_modes, lam):
     def respond(index, amount):
         xi = np.zeros(2 * n_modes)
         xi[index] = amount
-        return decode_gkp_squeezed_repetition(
-            reshape_noise(enc, xi), n_modes, lam
+        return gkp_squeezed_repetition_decoder(n_modes, lam)(
+            reshape_noise(enc, xi), None
         )
 
     # data position noise is fully corrected
@@ -141,30 +139,39 @@ def test_squeezed_repetition_batch_small_noise_scaling():
     enc = gkp_squeezed_repetition(n_modes, lam).encoder
     gen = stream_rng(21, 5)
     xi = gen.normal(0.0, sigma, (20_000, 2 * n_modes))
-    out = decode_gkp_squeezed_repetition(reshape_noise(enc, xi), n_modes, lam)
+    out = gkp_squeezed_repetition_decoder(n_modes, lam)(reshape_noise(enc, xi), None)
     atten = lam ** (n_modes - 1)
     assert np.std(out.xi_q) == pytest.approx(sigma / atten, rel=0.05)
     assert np.std(out.xi_p) == pytest.approx(sigma / atten, rel=0.05)
 
 
-def test_factories_match_direct_calls():
-    gen = stream_rng(21, 6)
-    z2 = gen.normal(0.0, 0.2, (40, 4))
-    z3 = gen.normal(0.0, 0.2, (40, 6))
+def test_squeezed_repetition_read_order_pins_noisy_draws():
+    """Noisy ancilla reads draw in the documented order: positions of
+    modes 2..N, then momenta from mode N back to mode 2.  The reference
+    below writes the N = 3 chain out by hand on a second generator with
+    the same seed."""
+    n_modes, lam, sigma_gkp = 3, 2.5, 0.05
+    z = stream_rng(21, 6).normal(0.0, 0.2, (400, 2 * n_modes))
+    out = gkp_squeezed_repetition_decoder(n_modes, lam, sigma_gkp)(
+        z, np.random.default_rng(9)
+    )
 
-    out = gaussian_repetition_decoder(2)(z2, None)
-    direct = decode_gaussian_repetition(z2, 2)
-    assert np.array_equal(out.xi_q, direct.xi_q)
+    gen = np.random.default_rng(9)
+    t = inverse(gkp_squeezed_repetition(n_modes, lam).encoder).matrix
+    tq, tp = t[0::2, 0::2], t[1::2, 1::2]
+    c1 = tq[0, 0] / tq[1, 0]
+    c2 = -c1 * tq[1, 1] / tq[2, 1]
+    m_q2 = modular_measure(z[:, 2], sigma_gkp, gen)
+    m_q3 = modular_measure(z[:, 4], sigma_gkp, gen)
+    m_p3 = modular_measure(z[:, 5], sigma_gkp, gen) / tp[2, 2]
+    m_p2 = modular_measure(z[:, 3] - tp[1, 2] * m_p3, sigma_gkp, gen) / tp[1, 1]
+    ref_q = z[:, 0] - (c1 * m_q2 + c2 * m_q3)
+    ref_p = z[:, 1] - tp[0, 1] * m_p2 - tp[0, 2] * m_p3
+    assert np.allclose(out.xi_q, ref_q, rtol=0, atol=1e-9)
+    assert np.allclose(out.xi_p, ref_p, rtol=0, atol=1e-9)
 
-    out = gkp_repetition_decoder(0.05)(z2, 9)
-    direct = decode_gkp_repetition(z2, 0.05, 9)
-    assert np.array_equal(out.xi_q, direct.xi_q)
 
-    out = gkp_tms_decoder(2.0, 0.2)(z2, None)
-    direct = decode_gkp_tms(z2, 2.0, 0.2)
-    assert np.array_equal(out.xi_q, direct.xi_q)
-
-    out = gkp_squeezed_repetition_decoder(3, 2.5)(z3, 9)
-    direct = decode_gkp_squeezed_repetition(z3, 3, 2.5, rng=9)
-    assert np.array_equal(out.xi_q, direct.xi_q)
-    assert np.array_equal(out.xi_p, direct.xi_p)
+def test_decoder_rejects_bad_ancilla_noise_at_build():
+    for sigma_gkp in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            gkp_repetition_decoder(sigma_gkp)

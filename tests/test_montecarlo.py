@@ -114,3 +114,9 @@ def test_invalid_arguments():
     rep = run(code, dec, 0.1, 1000, seed=1)
     with pytest.raises(ValueError):
         compare(rep, tms_mixture(0.1, 2.0), quadrature="x")
+
+
+def test_non_finite_sigma_rejected():
+    for sigma in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            run(gkp_repetition(), gkp_repetition_decoder(), sigma, 100, seed=1)
