@@ -94,16 +94,16 @@ class MixturePdf:
         object.__setattr__(self, "shifts", s)
 
     def pdf(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        comp = gaussian_pdf(x[..., None] - self.shifts, self.base_sigma)
-        out = comp @ self.weights
-        return out if out.size > 1 else float(out[0])
+        """Density at x: a float for scalar x, else an array of x's shape."""
+        x = np.asarray(x, dtype=float)
+        out = gaussian_pdf(x[..., None] - self.shifts, self.base_sigma) @ self.weights
+        return float(out) if out.ndim == 0 else out
 
     def cdf(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        comp = ndtr((x[..., None] - self.shifts) / self.base_sigma)
-        out = comp @ self.weights
-        return out if out.size > 1 else float(out[0])
+        """Distribution function at x, shaped like `pdf`."""
+        x = np.asarray(x, dtype=float)
+        out = ndtr((x[..., None] - self.shifts) / self.base_sigma) @ self.weights
+        return float(out) if out.ndim == 0 else out
 
     def mean(self) -> float:
         return float(self.weights @ self.shifts)
@@ -252,11 +252,7 @@ def gkp_repetition_pdfs(xi, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     the paper's logical spreads sigma/sqrt(2) and sigma.  The outer
     pieces are syndromes that wrapped into a neighbouring cell.
     """
-    laws = _gkp_repetition_laws(sigma)
-    if np.isscalar(xi) or np.ndim(xi) == 0:
-        return tuple(float(law.pdf(xi)) for law in laws)
-    x = np.asarray(xi, dtype=float)
-    return tuple(np.reshape(law.pdf(x), x.shape) for law in laws)
+    return tuple(law.pdf(xi) for law in _gkp_repetition_laws(sigma))
 
 
 def gkp_repetition_stds(sigma: float) -> tuple[float, float]:

@@ -8,6 +8,7 @@ for the Gaussian repetition benchmark.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .symplectic import (
@@ -58,9 +59,9 @@ class CodeSpec:
             raise ValueError(
                 f"data_modes must lie in [1, {self.encoder.n_modes - 1}], got {self.data_modes}"
             )
-        if self.ancilla_sigma_gkp < 0:
+        if not (math.isfinite(self.ancilla_sigma_gkp) and self.ancilla_sigma_gkp >= 0):
             raise ValueError(
-                f"ancilla_sigma_gkp must be nonnegative, got {self.ancilla_sigma_gkp}"
+                f"ancilla_sigma_gkp must be finite and nonnegative, got {self.ancilla_sigma_gkp}"
             )
 
     @property

@@ -30,12 +30,19 @@ def centered_mod(value, period: float = MODULAR_PERIOD):
     """
     if period <= 0:
         raise ValueError(f"period must be positive, got {period}")
-    x = np.asarray(value, dtype=float) / period
-    # round-half-toward-zero keeps ties at the smaller |n|
-    n = np.where(x >= 0, np.ceil(x - 0.5), np.floor(x + 0.5))
-    out = np.asarray(value, dtype=float) - n * period
-    if np.isscalar(value) or np.ndim(value) == 0:
-        return float(out)
+    v = np.atleast_1d(np.asarray(value, dtype=float))
+    # n = copysign(ceil(|x| - 1/2), x), x = v / period, rounds half toward
+    # zero and equals where(x >= 0, ceil(x - 1/2), floor(x + 1/2)) bit for
+    # bit, signed zeros included; one buffer holds x, then n, then the result
+    out = np.divide(v, period)
+    np.abs(out, out=out)
+    out -= 0.5
+    np.ceil(out, out=out)
+    np.copysign(out, v, out=out)
+    out *= period
+    np.subtract(v, out, out=out)
+    if np.ndim(value) == 0:
+        return float(out[0])
     return out
 
 
@@ -52,8 +59,8 @@ def modular_measure(value, sigma_gkp: float = 0.0, rng=None):
         sigma_gkp: per-quadrature GKP noise standard deviation (>= 0).
         rng: seed or numpy Generator used when sigma_gkp > 0.
     """
-    if sigma_gkp < 0:
-        raise ValueError(f"sigma_gkp must be nonnegative, got {sigma_gkp}")
+    if not (math.isfinite(sigma_gkp) and sigma_gkp >= 0):
+        raise ValueError(f"sigma_gkp must be finite and nonnegative, got {sigma_gkp}")
     if sigma_gkp == 0:
         return centered_mod(value)
     gen = np.random.default_rng(rng)

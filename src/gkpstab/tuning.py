@@ -57,6 +57,16 @@ def _objective(name: str, sigma: float, sigma_gkp: float):
     raise ValueError(f"objective must be one of {_OBJECTIVES}, got {name!r}")
 
 
+def _check_sigma_gkp(sigma_gkp: float):
+    if not (math.isfinite(sigma_gkp) and sigma_gkp >= 0):
+        raise ValueError(f"sigma_gkp must be finite and nonnegative, got {sigma_gkp}")
+
+
+def _check_positive(name: str, value: float):
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 def _golden_min(fun, lo: float, hi: float, rel_tol: float = 1e-6) -> float:
     # search in log space; the variance is smooth and unimodal there
     a, b = math.log(lo), math.log(hi)
@@ -84,10 +94,8 @@ def optimize(
     refinement polishes it.  When no gain beats the bare channel the
     result is clamped to G = 1 (no encoding).
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if sigma_gkp < 0:
-        raise ValueError(f"sigma_gkp must be nonnegative, got {sigma_gkp}")
+    _check_positive("sigma", sigma)
+    _check_sigma_gkp(sigma_gkp)
     fun = _objective(objective, sigma, sigma_gkp)
 
     top = max(2.0, math.pi / (2.0 * sigma * sigma))
@@ -132,6 +140,8 @@ def threshold_sigma(sigma_gkp: float = 0.0, tol: float = 1e-4):
     Returns None when no channel noise benefits, which happens once the
     ancilla noise is too large.
     """
+    _check_sigma_gkp(sigma_gkp)
+    _check_positive("tol", tol)
     objective = "noisy_gkp" if sigma_gkp > 0 else "exact"
     scan = np.linspace(0.8, 0.05, 76)
     above = scan[0]
@@ -173,6 +183,7 @@ def _any_window(sigma_gkp: float) -> bool:
 
 def critical_gkp_squeezing_db(tol_db: float = 0.01) -> float:
     """Minimum ancilla squeezing, in dB, below which encoding never helps."""
+    _check_positive("tol_db", tol_db)
     lo, hi = 8.0, 14.0
     if _any_window(gkp_sigma_from_db(lo)):
         raise RuntimeError("search bracket too narrow at the low end")

@@ -67,6 +67,18 @@ def test_mixture_cdf_properties():
     assert np.allclose(mix.cdf(-xs) + cdf, 1.0, atol=1e-12)
 
 
+def test_mixture_keeps_input_shape():
+    mix = tms_mixture(0.1, 2.0)
+    for fn in (mix.pdf, mix.cdf):
+        assert isinstance(fn(0.3), float)
+        assert isinstance(fn(np.array(0.3)), float)
+        for shape in ((1,), (2, 3), (0,)):
+            out = fn(np.full(shape, 0.3))
+            assert isinstance(out, np.ndarray) and out.shape == shape
+    q, p = gkp_repetition_pdfs(np.full((1, 1), 0.1), 0.2)
+    assert q.shape == p.shape == (1, 1)
+
+
 def test_tms_mixture_structure():
     """Component shifts sit on the rescaled wrap lattice and the base
     width is the conditional residual sigma/sqrt(2G-1)."""

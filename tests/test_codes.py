@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,14 @@ def test_code_spec_validation():
         CodeSpec(encoder=enc, data_modes=1, ancilla_kind="thermal")
     with pytest.raises(ValueError):
         CodeSpec(encoder=enc, data_modes=1, ancilla_sigma_gkp=-0.1)
+
+
+def test_code_spec_rejects_non_finite_ancilla_noise():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="ancilla_sigma_gkp"):
+            gkp_repetition(bad)
+        with pytest.raises(ValueError, match="ancilla_sigma_gkp"):
+            CodeSpec(encoder=sum_gate(1, 2, 2), data_modes=1, ancilla_sigma_gkp=bad)
 
 
 def test_logical_gate_identity_and_shapes():

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gkpstab.modular import MODULAR_PERIOD, centered_mod, modular_measure
 from gkpstab.noise import stream_rng
@@ -85,3 +88,60 @@ def test_modular_measure_seeded_reproducible():
     c = modular_measure(z, 0.1, rng=124)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_modular_measure_rejects_non_finite_noise():
+    for sigma_gkp in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma_gkp"):
+            modular_measure(np.zeros(3), sigma_gkp, 1)
+
+
+def _reference_centered_mod(value, period):
+    # the round-half-toward-zero formula centered_mod must equal bit for bit
+    x = np.asarray(value, dtype=float) / period
+    n = np.where(x >= 0, np.ceil(x - 0.5), np.floor(x + 0.5))
+    return np.asarray(value, dtype=float) - n * period
+
+
+_periods = st.one_of(
+    st.just(MODULAR_PERIOD), st.floats(1e-3, 1e3, allow_subnormal=False)
+)
+_values = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=0, max_dims=2, max_side=8),
+    elements=st.floats(-1e12, 1e12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_values, _periods)
+def test_bitwise_equal_to_reference_formula(values, period):
+    # 0-d input comes back as a float, which asarray turns into shape ()
+    got = np.asarray(centered_mod(values, period))
+    assert got.shape == values.shape
+    assert got.tobytes() == _reference_centered_mod(values, period).tobytes()
+
+
+@settings(deadline=None)
+@given(st.floats(-1e6, 1e6), _periods)
+def test_result_within_half_period(value, period):
+    # v - n * period rounds to within a few ulp of max(|v|, period)
+    slack = 4 * np.spacing(max(abs(value), period))
+    assert abs(centered_mod(value, period)) <= period / 2 + slack
+
+
+@settings(deadline=None)
+@given(st.integers(-(10**6), 10**6), st.integers(1, 1000))
+def test_ties_at_odd_half_multiples_keep_sign(k, period):
+    # (2k + 1) * period / 2 and its quotient by period are exact in double
+    value = (2 * k + 1) * period / 2
+    assert centered_mod(value, float(period)) == math.copysign(period / 2, value)
+
+
+@settings(deadline=None)
+@given(st.floats(-0.49, 0.49), st.integers(-1000, 1000), _periods)
+def test_periodic_in_whole_periods(frac, k, period):
+    # values kept off the ties, where one rounding may pick either side
+    value = frac * period
+    shifted = centered_mod(value + k * period, period)
+    assert shifted == pytest.approx(value, abs=1e-12 * (abs(k) + 1) * period)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkpstab.analytic import gkp_repetition_pdfs, tms_mixture
 from gkpstab.codes import gaussian_repetition, gkp_repetition, gkp_tms
@@ -10,7 +12,8 @@ from gkpstab.decoders import (
     gkp_repetition_decoder,
     gkp_tms_decoder,
 )
-from gkpstab.montecarlo import BLOCK_SIZE, compare, run
+from gkpstab.montecarlo import BLOCK_SIZE, _draw, _moment_sums, compare, run
+from gkpstab.noise import stream_rng
 
 
 def test_deterministic_given_seed():
@@ -120,3 +123,29 @@ def test_non_finite_sigma_rejected():
     for sigma in (math.nan, math.inf):
         with pytest.raises(ValueError):
             run(gkp_repetition(), gkp_repetition_decoder(), sigma, 100, seed=1)
+
+
+@settings(deadline=None)
+@given(
+    st.floats(0.0, 10.0),
+    st.integers(0, 2**32),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 300),
+    st.integers(1, 5),
+)
+def test_block_draw_equals_normal_bitwise(sigma, seed, index, count, n_modes):
+    want = stream_rng(seed, index).normal(0.0, sigma, (count, 2 * n_modes))
+    got = _draw(stream_rng(seed, index), sigma, count, n_modes)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_moment_sums_match_pow_form():
+    gen = stream_rng(21, 0)
+    for mean, std in ((0.0, 0.03), (0.0, 1.0), (5.0, 0.1), (-2.0, 3.0)):
+        x = gen.normal(mean, std, BLOCK_SIZE)
+        got = _moment_sums(x)
+        want = np.array([x.sum(), (x * x).sum(), (x**3).sum(), (x**4).sum()])
+        # the sums behind mean and std keep their exact bits
+        assert got[:2].tobytes() == want[:2].tobytes()
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)

@@ -79,6 +79,20 @@ def test_validation():
         optimize(0.1, objective="fanciful")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_inputs_named(bad):
+    # each search fails before it starts, naming the argument and its value
+    for call, name in (
+        (lambda: optimize(bad), "sigma"),
+        (lambda: optimize(0.1, bad, objective="noisy_gkp"), "sigma_gkp"),
+        (lambda: threshold_sigma(bad), "sigma_gkp"),
+        (lambda: threshold_sigma(tol=bad), "tol"),
+        (lambda: critical_gkp_squeezing_db(bad), "tol_db"),
+    ):
+        with pytest.raises(ValueError, match=f"{name} must be finite.*got {bad}"):
+            call()
+
+
 def test_critical_squeezing_brackets():
     from gkpstab.tuning import _any_window
 
