@@ -32,18 +32,37 @@ __all__ = [
 _P = MODULAR_PERIOD
 
 
-def gaussian_pdf(x, sigma: float):
-    """Density of N(0, sigma^2) at x."""
-    if sigma <= 0:
+def gaussian_pdf(x, sigma):
+    """Density of N(0, sigma^2) at x; an array `sigma` broadcasts against x."""
+    if not (np.asarray(sigma) > 0).all():
         raise ValueError(f"sigma must be positive, got {sigma}")
     x = np.asarray(x, dtype=float)
-    return np.exp(-(x * x) / (2.0 * sigma * sigma)) / math.sqrt(2.0 * math.pi * sigma * sigma)
+    return np.exp(-(x * x) / (2.0 * sigma * sigma)) / np.sqrt(2.0 * math.pi * sigma * sigma)
 
 
-def _n_max(spread: float) -> int:
+def _check_finite(name: str, value: float, positive: bool = False):
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        kind = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be finite and {kind}, got {value}")
+
+
+def _n_max(spread):
     # keep cells out to 8 standard deviations so the discarded lattice
     # mass stays below the 1e-10 budget of the mixture weights
-    return max(5, int(math.ceil(8.0 * spread / _P)) + 1)
+    return np.maximum(np.ceil(8.0 * spread / _P).astype(np.intp) + 1, 5)
+
+
+def _cell_edges(n_max) -> np.ndarray:
+    # boundaries (n - 1/2) sqrt(2 pi) for n = -n_max..n_max + 1, so that
+    # cell n spans edges[n + n_max] to edges[n + n_max + 1]
+    return (np.arange(-n_max, n_max + 2) - 0.5) * _P
+
+
+def _masses(sigma, edges):
+    # erf once per boundary: the upper edge of one cell is the lower edge
+    # of the next, the same argument and so the same bits
+    e = erf(edges / (math.sqrt(2.0) * sigma))
+    return 0.5 * (e[..., 1:] - e[..., :-1])
 
 
 def cell_masses(sigma: float, n_max: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -53,15 +72,47 @@ def cell_masses(sigma: float, n_max: int | None = None) -> tuple[np.ndarray, np.
     cell indices and their probabilities, truncated where the Gaussian
     tail is negligible.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    _check_finite("sigma", sigma, positive=True)
     if n_max is None:
-        n_max = _n_max(sigma)
+        n_max = int(_n_max(sigma))
     ns = np.arange(-n_max, n_max + 1)
-    denom = math.sqrt(2.0) * sigma
-    hi = erf((ns + 0.5) * _P / denom)
-    lo = erf((ns - 0.5) * _P / denom)
-    return ns, 0.5 * (hi - lo)
+    return ns, _masses(sigma, _cell_edges(n_max))
+
+
+def _lattice_sums(row_sums, spread, *per_gain) -> np.ndarray:
+    # row_sums(ns, edges, spread, *per_gain) sums over the cells ns = -n..n
+    # with boundaries `edges`, each per-gain value given as a column.
+    # Gains are grouped by lattice size so that each sums exactly the cells
+    # of a lone call, in the same order: padding to a common lattice would
+    # change numpy's pairwise summation and so the last bits.  Returns an
+    # array of spread's shape.
+    shape = np.shape(spread)
+    spread = spread.reshape(-1)
+    columns = [v.reshape(-1, 1) for v in (spread, *per_gain)]
+    n_max = _n_max(spread)
+    out = np.empty(spread.shape)
+    one_size = n_max.size <= 1 or (n_max == n_max[0]).all()
+    for n in n_max[:1] if one_size else np.unique(n_max):
+        rows = slice(None) if one_size else n_max == n
+        ns, edges = np.arange(-n, n + 1), _cell_edges(n)
+        out[rows] = row_sums(ns, edges, *(v[rows] for v in columns))
+    return out.reshape(shape)
+
+
+def _gains(gain):
+    # (shape, values): a 0-d gain comes back as a numpy scalar, whose
+    # arithmetic costs far less than that of a one-element array
+    g = np.asarray(gain, dtype=float)
+    flat = g.reshape(-1)
+    ok = (flat >= 1.0) & (flat < math.inf)
+    if not ok.all():
+        raise ValueError(f"gain must be finite and >= 1, got {flat[~ok][0]}")
+    return g.shape, g[()]
+
+
+def _shaped(values, shape):
+    out = values.reshape(shape)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,10 +173,9 @@ def tms_mixture(sigma: float, gain: float) -> MixturePdf:
     sqrt(2 pi) n with probability given by the cell masses of the
     amplified syndrome.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if gain < 1.0:
-        raise ValueError(f"gain must be >= 1, got {gain}")
+    _check_finite("sigma", sigma, positive=True)
+    if not (math.isfinite(gain) and gain >= 1.0):
+        raise ValueError(f"gain must be finite and >= 1, got {gain}")
     if gain == 1.0:
         return MixturePdf(np.array([1.0]), np.array([0.0]), sigma)
     spread = math.sqrt(2.0 * gain - 1.0) * sigma
@@ -137,35 +187,42 @@ def tms_mixture(sigma: float, gain: float) -> MixturePdf:
     return MixturePdf(w, mu, sigma / math.sqrt(2.0 * gain - 1.0))
 
 
-def tms_variance(sigma: float, gain: float) -> float:
-    """Exact logical noise variance of the two-mode squeezing code."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if gain < 1.0:
-        raise ValueError(f"gain must be >= 1, got {gain}")
-    if gain == 1.0:
-        return sigma * sigma
-    two_g = 2.0 * gain - 1.0
-    ns, w = cell_masses(math.sqrt(two_g) * sigma)
-    mu = (2.0 * math.sqrt(gain * (gain - 1.0)) / two_g) * _P * ns
-    return sigma * sigma / two_g + float(w @ (mu * mu))
+def _shift_sums(ns, edges, spread, step):
+    # sum_n w_n mu_n^2 with mu_n = step * n; vecdot reduces each row bit for
+    # bit as the 1-d w @ (mu * mu) does, where einsum and sum(-1) do not
+    mu = step * ns
+    return np.vecdot(_masses(spread, edges), mu * mu)
 
 
-def tms_variance_erfc_approx(sigma: float, gain: float) -> float:
+def tms_variance(sigma: float, gain):
+    """Exact logical noise variance of the two-mode squeezing code.
+
+    `gain` may be an array: the result then has its shape, and each
+    element equals the call with that gain alone, bit for bit.  A scalar
+    or 0-d gain gives a float.  At G = 1 the shifts vanish and the
+    result is exactly sigma^2.
+    """
+    _check_finite("sigma", sigma, positive=True)
+    shape, g = _gains(gain)
+    two_g = 2.0 * g - 1.0
+    spread = np.sqrt(two_g) * sigma
+    step = (2.0 * np.sqrt(g * (g - 1.0)) / two_g) * _P
+    return _shaped(sigma * sigma / two_g + _lattice_sums(_shift_sums, spread, step), shape)
+
+
+def tms_variance_erfc_approx(sigma: float, gain):
     """Two-term approximation keeping only the first displaced cells.
 
     Accurate to about a percent whenever the wrap probability is small;
-    handy for the closed-form optimum analysis.
+    handy for the closed-form optimum analysis.  Broadcasts over `gain`
+    like `tms_variance`.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if gain < 1.0:
-        raise ValueError(f"gain must be >= 1, got {gain}")
-    if gain == 1.0:
-        return sigma * sigma
-    two_g = 2.0 * gain - 1.0
-    tail = erfc(math.sqrt(math.pi) / (2.0 * math.sqrt(two_g) * sigma))
-    return sigma * sigma / two_g + (8.0 * math.pi * gain * (gain - 1.0) / two_g**2) * tail
+    _check_finite("sigma", sigma, positive=True)
+    shape, g = _gains(gain)
+    two_g = 2.0 * g - 1.0
+    tail = erfc(math.sqrt(math.pi) / (2.0 * np.sqrt(two_g) * sigma))
+    weight = 8.0 * math.pi * g * (g - 1.0) / (two_g * two_g)
+    return _shaped(sigma * sigma / two_g + weight * tail, shape)
 
 
 def tms_asymptotic_optimum(sigma: float) -> tuple[float, float]:
@@ -184,50 +241,58 @@ def tms_asymptotic_optimum(sigma: float) -> tuple[float, float]:
     return gain, sigma_l
 
 
-def tms_variance_noisy_gkp(sigma: float, sigma_gkp: float, gain: float) -> float:
+def _noisy_cell_sums(ns, edges, u, u2, c, alpha, k_const):
+    # per-cell moments m0, m1, m2 of the summed variable (spread u), from
+    # its distribution function and density at the cell boundaries,
+    # weighted by the squared residual's coefficients; np.sum along each
+    # row reduces as it does for a lone 1-d call
+    beta = c * _P * ns
+    phi = gaussian_pdf(edges, u)
+    x_phi = edges * phi
+    cdf = ndtr(edges / u)
+    m0 = cdf[:, 1:] - cdf[:, :-1]
+    m1 = u2 * (phi[:, :-1] - phi[:, 1:])
+    m2 = u2 * m0 - u2 * (x_phi[:, 1:] - x_phi[:, :-1])
+    terms = (k_const + beta * beta) * m0 + alpha * alpha * m2 - 2.0 * alpha * beta * m1
+    return np.sum(terms, axis=-1)
+
+
+def tms_variance_noisy_gkp(sigma: float, sigma_gkp: float, gain):
     """Logical noise variance with finitely squeezed GKP ancillas.
 
     Averages the squared MMSE residual over the joint law of the
     amplified syndrome and the GKP measurement noise.  The inner
     Gaussian average is carried out exactly, leaving per-cell moments of
-    the summed variable, which have erf closed forms.
+    the summed variable, which have erf closed forms.  Broadcasts over
+    `gain` like `tms_variance`.
     """
-    if sigma < 0 or sigma_gkp < 0:
-        raise ValueError("noise strengths must be nonnegative")
-    if gain < 1.0:
-        raise ValueError(f"gain must be >= 1, got {gain}")
+    _check_finite("sigma", sigma)
+    _check_finite("sigma_gkp", sigma_gkp)
+    shape, g = _gains(gain)
     if sigma == 0.0:
-        return 0.0
-    two_g = 2.0 * gain - 1.0
+        return _shaped(np.zeros(shape), shape)
+    two_g = 2.0 * g - 1.0
     s2 = two_g * sigma * sigma
     t2 = 2.0 * sigma_gkp * sigma_gkp
     a_const = sigma * sigma / two_g
-    denom = two_g * sigma * sigma + 2.0 * sigma_gkp * sigma_gkp
-    c = 2.0 * math.sqrt(gain * (gain - 1.0)) * sigma * sigma / denom
-    d = 2.0 * math.sqrt(gain * (gain - 1.0)) * 2.0 * sigma_gkp * sigma_gkp / (two_g * denom)
     u2 = s2 + t2
-    u = math.sqrt(u2)
+    root = 2.0 * np.sqrt(g * (g - 1.0))
+    c = root * sigma * sigma / u2
+    d = root * 2.0 * sigma_gkp * sigma_gkp / (two_g * u2)
+    u = np.sqrt(u2)
     rho = s2 / u2
     tau2 = s2 * t2 / u2
     w = c + d
     alpha = c - w * rho
     k_const = a_const + w * w * tau2
-
-    ns = np.arange(-_n_max(u), _n_max(u) + 1)
-    beta = c * _P * ns
-    lo = (ns - 0.5) * _P
-    hi = (ns + 0.5) * _P
-    phi_lo = gaussian_pdf(lo, u)
-    phi_hi = gaussian_pdf(hi, u)
-    m0 = ndtr(hi / u) - ndtr(lo / u)
-    m1 = u2 * (phi_lo - phi_hi)
-    m2 = u2 * m0 - u2 * (hi * phi_hi - lo * phi_lo)
-    total = np.sum((k_const + beta * beta) * m0 + alpha * alpha * m2 - 2.0 * alpha * beta * m1)
-    if not np.isfinite(total):
+    total = _lattice_sums(_noisy_cell_sums, u, u2, c, alpha, k_const)
+    failed = ~np.isfinite(total)
+    if failed.any():
         raise ArithmeticError(
-            f"variance evaluation failed for sigma={sigma}, sigma_gkp={sigma_gkp}, gain={gain}"
+            f"variance evaluation failed for sigma={sigma}, sigma_gkp={sigma_gkp}, "
+            f"gain={np.extract(failed, g)[0]}"
         )
-    return float(total)
+    return _shaped(total, shape)
 
 
 def _gkp_repetition_laws(sigma: float) -> tuple[MixturePdf, MixturePdf]:

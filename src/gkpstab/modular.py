@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .noise import draw_normal
+
 __all__ = ["MODULAR_PERIOD", "centered_mod", "modular_measure"]
 
 # Period of the modular quadrature measurement for square-lattice GKP
@@ -64,5 +66,6 @@ def modular_measure(value, sigma_gkp: float = 0.0, rng=None):
     if sigma_gkp == 0:
         return centered_mod(value)
     gen = np.random.default_rng(rng)
-    noise = gen.normal(0.0, math.sqrt(2.0) * sigma_gkp, np.shape(value))
-    return centered_mod(np.asarray(value, dtype=float) + noise)
+    noisy = draw_normal(gen, math.sqrt(2.0) * sigma_gkp, np.shape(value))
+    noisy += value
+    return centered_mod(noisy)

@@ -17,7 +17,7 @@ from scipy.integrate import quad
 
 from .analytic import MixturePdf
 from .codes import CodeSpec
-from .noise import stream_rng
+from .noise import draw_normal, stream_rng
 from .symplectic import inverse
 
 __all__ = ["TrialReport", "ComparisonReport", "run", "compare"]
@@ -68,19 +68,9 @@ def _moment_sums(x: np.ndarray) -> np.ndarray:
     return np.array([x.sum(), x2.sum(), (x2 * x).sum(), (x2 * x2).sum()])
 
 
-def _draw(gen, sigma, count, n_modes):
-    # the same bits as gen.normal(0.0, sigma, shape), which returns
-    # 0.0 + sigma * z: filling standard normals in bulk and scaling in
-    # place is cheaper, and adding 0.0 turns the -0.0 of sigma = 0 into +0.0
-    xi = gen.standard_normal((count, 2 * n_modes))
-    xi *= sigma
-    xi += 0.0
-    return xi
-
-
 def _block(code, decoder, t_inv, sigma, seed, index, count, edges):
     gen = stream_rng(seed, index)
-    z = _draw(gen, sigma, count, code.n_modes) @ t_inv
+    z = draw_normal(gen, sigma, (count, 2 * code.n_modes)) @ t_inv
     out = decoder(z, gen)
     xi_q = np.asarray(out.xi_q, dtype=float)
     xi_p = np.asarray(out.xi_p, dtype=float)
@@ -133,7 +123,7 @@ def run(
     t_inv = inverse(code.encoder).matrix.T.copy()
 
     pilot_gen = stream_rng(seed, _PILOT_STREAM)
-    pilot = _draw(pilot_gen, sigma, _PILOT_TRIALS, code.n_modes) @ t_inv
+    pilot = draw_normal(pilot_gen, sigma, (_PILOT_TRIALS, 2 * code.n_modes)) @ t_inv
     pilot_out = decoder(pilot, pilot_gen)
     reach = 6.0 * max(
         sigma,

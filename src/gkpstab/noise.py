@@ -19,6 +19,7 @@ __all__ = [
     "IidNoiseModel",
     "NoiseCovariance",
     "stream_rng",
+    "draw_normal",
     "sample_iid",
     "reshape_noise",
     "iid_covariance",
@@ -77,12 +78,24 @@ def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
 
 
+def draw_normal(gen: np.random.Generator, sigma: float, shape) -> np.ndarray:
+    """N(0, sigma^2) noise of `shape`, the same bits as gen.normal(0.0, sigma, shape).
+
+    Generator.normal returns 0.0 + sigma * z; filling standard normals in
+    bulk and scaling them in place is cheaper, and adding 0.0 turns the
+    -0.0 of sigma = 0 into +0.0.
+    """
+    xi = gen.standard_normal(shape)
+    xi *= sigma
+    xi += 0.0
+    return xi
+
+
 def sample_iid(model: IidNoiseModel, seed: int, count: int, stream: int = 0) -> np.ndarray:
     """Draw `count` noise vectors of shape (count, 2N) from the iid channel."""
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
-    gen = stream_rng(seed, stream)
-    return gen.normal(0.0, model.sigma, (count, 2 * model.n_modes))
+    return draw_normal(stream_rng(seed, stream), model.sigma, (count, 2 * model.n_modes))
 
 
 def reshape_noise(encoder: SymplecticTransform, xi: np.ndarray) -> np.ndarray:
@@ -136,10 +149,10 @@ def gkp_sigma_from_db(squeeze_db: float) -> float:
     The squeezing of a GKP state is s = -10 log10(2 sigma_gkp^2), so
     infinite squeezing is the noiseless limit sigma_gkp = 0.
     """
-    if math.isinf(squeeze_db):
-        if squeeze_db > 0:
-            return 0.0
-        raise ValueError("squeezing must be finite or +inf")
+    if squeeze_db == math.inf:
+        return 0.0
+    if not math.isfinite(squeeze_db):
+        raise ValueError(f"squeezing must be finite or +inf, got {squeeze_db}")
     return math.sqrt(10.0 ** (-squeeze_db / 10.0) / 2.0)
 
 

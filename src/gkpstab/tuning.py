@@ -12,7 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import tms_variance, tms_variance_erfc_approx, tms_variance_noisy_gkp
+from .analytic import (
+    _check_finite,
+    tms_variance,
+    tms_variance_erfc_approx,
+    tms_variance_noisy_gkp,
+)
 from .noise import gkp_sigma_from_db
 
 __all__ = [
@@ -41,13 +46,14 @@ class GainOptimum:
 
 def squeeze_db_from_gain(gain: float) -> float:
     """Single-mode squeezing, in dB, that realizes gain G via beam splitters."""
-    if gain < 1.0:
-        raise ValueError(f"gain must be >= 1, got {gain}")
+    if not (math.isfinite(gain) and gain >= 1.0):
+        raise ValueError(f"gain must be finite and >= 1, got {gain}")
     lam = math.sqrt(gain) + math.sqrt(gain - 1.0)
     return 20.0 * math.log10(lam)
 
 
 def _objective(name: str, sigma: float, sigma_gkp: float):
+    # the returned callable takes a gain or an array of gains
     if name == "exact":
         return lambda g: tms_variance(sigma, g)
     if name == "erfc_approx":
@@ -55,16 +61,6 @@ def _objective(name: str, sigma: float, sigma_gkp: float):
     if name == "noisy_gkp":
         return lambda g: tms_variance_noisy_gkp(sigma, sigma_gkp, g)
     raise ValueError(f"objective must be one of {_OBJECTIVES}, got {name!r}")
-
-
-def _check_sigma_gkp(sigma_gkp: float):
-    if not (math.isfinite(sigma_gkp) and sigma_gkp >= 0):
-        raise ValueError(f"sigma_gkp must be finite and nonnegative, got {sigma_gkp}")
-
-
-def _check_positive(name: str, value: float):
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def _golden_min(fun, lo: float, hi: float, rel_tol: float = 1e-6) -> float:
@@ -94,13 +90,13 @@ def optimize(
     refinement polishes it.  When no gain beats the bare channel the
     result is clamped to G = 1 (no encoding).
     """
-    _check_positive("sigma", sigma)
-    _check_sigma_gkp(sigma_gkp)
+    _check_finite("sigma", sigma, positive=True)
+    _check_finite("sigma_gkp", sigma_gkp)
     fun = _objective(objective, sigma, sigma_gkp)
 
     top = max(2.0, math.pi / (2.0 * sigma * sigma))
     grid = np.geomspace(1.0, top, _GRID_POINTS)
-    values = np.array([fun(g) for g in grid])
+    values = fun(grid)
     k = int(np.argmin(values))
     if k == 0:
         g_star = 1.0 if values[0] <= fun(1.0 + 1e-9) else _golden_min(
@@ -140,8 +136,8 @@ def threshold_sigma(sigma_gkp: float = 0.0, tol: float = 1e-4):
     Returns None when no channel noise benefits, which happens once the
     ancilla noise is too large.
     """
-    _check_sigma_gkp(sigma_gkp)
-    _check_positive("tol", tol)
+    _check_finite("sigma_gkp", sigma_gkp)
+    _check_finite("tol", tol, positive=True)
     objective = "noisy_gkp" if sigma_gkp > 0 else "exact"
     scan = np.linspace(0.8, 0.05, 76)
     above = scan[0]
@@ -171,7 +167,7 @@ def _any_window(sigma_gkp: float) -> bool:
     for s in sigmas:
         fun = _objective("noisy_gkp", float(s), sigma_gkp)
         grid = np.geomspace(1.0, max(2.0, math.pi / (2.0 * s * s)), 128)
-        ratio = min(fun(g) for g in grid) / (s * s)
+        ratio = fun(grid).min() / (s * s)
         if ratio < 1.0 - 1e-6:
             return True
         ratios.append((ratio, float(s)))
@@ -183,7 +179,7 @@ def _any_window(sigma_gkp: float) -> bool:
 
 def critical_gkp_squeezing_db(tol_db: float = 0.01) -> float:
     """Minimum ancilla squeezing, in dB, below which encoding never helps."""
-    _check_positive("tol_db", tol_db)
+    _check_finite("tol_db", tol_db, positive=True)
     lo, hi = 8.0, 14.0
     if _any_window(gkp_sigma_from_db(lo)):
         raise RuntimeError("search bracket too narrow at the low end")

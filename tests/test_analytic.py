@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 from scipy.special import ndtr
 
 from gkpstab.analytic import (
     MixturePdf,
+    _n_max,
     cell_masses,
     gaussian_pdf,
     gkp_repetition_pdfs,
@@ -27,6 +31,12 @@ def test_gaussian_pdf_matches_closed_form():
     x = np.linspace(-2, 2, 9)
     want = np.exp(-(x**2) / (2 * 0.09)) / math.sqrt(2 * math.pi * 0.09)
     assert np.allclose(gaussian_pdf(x, 0.3), want)
+
+
+def test_gaussian_pdf_rejects_bad_width():
+    for sigma in (0.0, -0.1, math.nan, np.array([0.2, math.nan])):
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            gaussian_pdf(0.5, sigma)
 
 
 def test_cell_masses_normalized_and_symmetric():
@@ -230,3 +240,103 @@ def test_gkp_repetition_stds_frozen_sampling_references():
     std_q, std_p = gkp_repetition_stds(0.5)
     assert std_q == pytest.approx(0.494714, abs=1e-3)
     assert std_p == pytest.approx(0.571814, abs=1e-3)
+
+
+# the three variances as functions of (sigma, sigma_gkp, gain)
+_VARIANCES = {
+    "exact": lambda s, t, g: tms_variance(s, g),
+    "erfc_approx": lambda s, t, g: tms_variance_erfc_approx(s, g),
+    "noisy_gkp": lambda s, t, g: tms_variance_noisy_gkp(s, t, g),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VARIANCES))
+@settings(max_examples=60, deadline=None)
+@given(
+    sigma=st.floats(0.005, 0.9),
+    sigma_gkp=st.floats(0.0, 0.3),
+    fractions=hnp.arrays(np.float64, st.integers(0, 40), elements=st.floats(0.0, 1.0)),
+)
+def test_gain_array_equals_scalar_calls_bitwise(name, sigma, sigma_gkp, fractions):
+    # gains from G = 1 to the top of the optimiser's grid, which always
+    # spans more than one lattice size
+    top = max(2.0, math.pi / (2.0 * sigma * sigma))
+    gains = np.concatenate([[1.0, top], 1.0 + (top - 1.0) * fractions])
+    assert len(set(_n_max(np.sqrt(2.0 * gains - 1.0) * sigma))) > 1
+    f = _VARIANCES[name]
+    got = f(sigma, sigma_gkp, gains)
+    want = np.array([f(sigma, sigma_gkp, float(g)) for g in gains])
+    assert got.shape == gains.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.005, 0.9), st.lists(st.floats(0.0, 1.0), max_size=20))
+def test_tms_variance_equals_one_dimensional_sum_bitwise(sigma, fractions):
+    # reference: the lone-gain form sigma^2 / (2G - 1) + w @ (mu * mu) over
+    # the public cell masses, which the array reduction must reproduce
+    top = max(2.0, math.pi / (2.0 * sigma * sigma))
+    gains = [1.0, top] + [1.0 + (top - 1.0) * f for f in fractions]
+    for gain in gains:
+        two_g = 2.0 * gain - 1.0
+        ns, w = cell_masses(math.sqrt(two_g) * sigma)
+        mu = (2.0 * math.sqrt(gain * (gain - 1.0)) / two_g) * ROOT_2PI * ns
+        want = sigma * sigma / two_g + float(w @ (mu * mu))
+        assert tms_variance(sigma, gain) == want
+    assert tms_variance(sigma, np.array(gains)).tolist() == [
+        tms_variance(sigma, g) for g in gains
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(_VARIANCES))
+def test_gain_array_shape_contract(name):
+    f = _VARIANCES[name]
+    scalar = f(0.2, 0.05, 3.0)
+    assert type(scalar) is float
+    assert type(f(0.2, 0.05, np.float64(3.0))) is float
+    assert type(f(0.2, 0.05, np.array(3.0))) is float
+    grid = np.geomspace(1.0, 40.0, 12).reshape(3, 4)
+    out = f(0.2, 0.05, grid)
+    assert isinstance(out, np.ndarray) and out.shape == (3, 4)
+    assert out[1, 2] == f(0.2, 0.05, float(grid[1, 2]))
+    assert f(0.2, 0.05, [1.0, 3.0]).shape == (2,)
+    assert f(0.2, 0.05, [1.0, 3.0])[1] == scalar
+    for shape in ((0,), (3, 0)):
+        assert f(0.2, 0.05, np.ones(shape)).shape == shape
+
+
+def test_noiseless_channel_gives_zero_of_gain_shape():
+    assert tms_variance_noisy_gkp(0.0, 0.1, 2.0) == 0.0
+    assert np.array_equal(tms_variance_noisy_gkp(0.0, 0.1, np.ones((2, 3))), np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_variances_reject_non_finite_input(bad):
+    calls = [
+        (lambda: tms_variance(0.1, bad), "gain"),
+        (lambda: tms_variance(0.1, np.array([2.0, bad, 3.0])), "gain"),
+        (lambda: tms_variance(bad, 2.0), "sigma"),
+        (lambda: tms_variance_erfc_approx(0.1, bad), "gain"),
+        (lambda: tms_variance_erfc_approx(bad, 2.0), "sigma"),
+        (lambda: tms_variance_noisy_gkp(0.1, 0.05, bad), "gain"),
+        (lambda: tms_variance_noisy_gkp(0.1, 0.05, [[2.0], [bad]]), "gain"),
+        (lambda: tms_variance_noisy_gkp(bad, 0.05, 2.0), "sigma"),
+        (lambda: tms_variance_noisy_gkp(0.1, bad, 2.0), "sigma_gkp"),
+        (lambda: tms_mixture(0.1, bad), "gain"),
+        (lambda: tms_mixture(bad, 2.0), "sigma"),
+        (lambda: cell_masses(bad), "sigma"),
+    ]
+    for call, name in calls:
+        with pytest.raises(ValueError, match=f"{name} must be finite.*got {bad}"):
+            call()
+
+
+@settings(deadline=None)
+@given(st.floats(1e-3, 3.0))
+def test_cell_masses_exactly_symmetric_and_normalised(sigma):
+    # sigma covers the spreads the variances use, sigma up to sqrt(2G - 1)
+    # times the channel noise at the top of the gain grid
+    ns, w = cell_masses(sigma)
+    assert np.array_equal(ns, -ns[::-1])
+    assert w.tobytes() == w[::-1].tobytes()
+    assert abs(w.sum() - 1.0) <= 1e-10

@@ -145,3 +145,14 @@ def test_periodic_in_whole_periods(frac, k, period):
     value = frac * period
     shifted = centered_mod(value + k * period, period)
     assert shifted == pytest.approx(value, abs=1e-12 * (abs(k) + 1) * period)
+
+
+@settings(deadline=None)
+@given(_values, st.floats(1e-6, 1.0), st.integers(0, 2**32))
+def test_noisy_measure_equals_generator_normal_bitwise(values, sigma_gkp, seed):
+    # the reference is the plain form: value plus a Generator.normal draw
+    noise = np.random.default_rng(seed).normal(0.0, math.sqrt(2.0) * sigma_gkp, values.shape)
+    want = centered_mod(values + noise)
+    got = modular_measure(values, sigma_gkp, rng=seed)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gkpstab.analytic import gkp_repetition_pdfs, tms_mixture
 from gkpstab.codes import gaussian_repetition, gkp_repetition, gkp_tms
@@ -12,7 +10,7 @@ from gkpstab.decoders import (
     gkp_repetition_decoder,
     gkp_tms_decoder,
 )
-from gkpstab.montecarlo import BLOCK_SIZE, _draw, _moment_sums, compare, run
+from gkpstab.montecarlo import BLOCK_SIZE, _moment_sums, compare, run
 from gkpstab.noise import stream_rng
 
 
@@ -123,21 +121,6 @@ def test_non_finite_sigma_rejected():
     for sigma in (math.nan, math.inf):
         with pytest.raises(ValueError):
             run(gkp_repetition(), gkp_repetition_decoder(), sigma, 100, seed=1)
-
-
-@settings(deadline=None)
-@given(
-    st.floats(0.0, 10.0),
-    st.integers(0, 2**32),
-    st.integers(0, 2**32 - 1),
-    st.integers(0, 300),
-    st.integers(1, 5),
-)
-def test_block_draw_equals_normal_bitwise(sigma, seed, index, count, n_modes):
-    want = stream_rng(seed, index).normal(0.0, sigma, (count, 2 * n_modes))
-    got = _draw(stream_rng(seed, index), sigma, count, n_modes)
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
 
 
 def test_moment_sums_match_pow_form():

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gkpstab.codes import gkp_repetition
 from gkpstab.noise import (
     IidNoiseModel,
     NoiseCovariance,
+    draw_normal,
     gkp_db_from_sigma,
     gkp_sigma_from_db,
     gkp_sigma_from_delta,
@@ -89,6 +93,12 @@ def test_gkp_db_conversions_roundtrip():
     assert gkp_db_from_sigma(0.0) == math.inf
 
 
+@pytest.mark.parametrize("bad", [math.nan, -math.inf])
+def test_gkp_sigma_from_db_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match=f"squeezing must be finite.*got {bad}"):
+        gkp_sigma_from_db(bad)
+
+
 def test_gkp_sigma_from_delta_small_limit():
     # for small delta the variance approaches delta / 2
     delta = 1e-4
@@ -97,3 +107,19 @@ def test_gkp_sigma_from_delta_small_limit():
     big = gkp_sigma_from_delta(1.0)
     small = gkp_sigma_from_delta(0.1)
     assert big > small > 0
+
+
+@settings(deadline=None)
+@given(
+    st.floats(0.0, 10.0),
+    st.integers(0, 2**32),
+    st.integers(0, 2**32 - 1),
+    hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=40),
+)
+def test_draw_normal_equals_generator_normal_bitwise(sigma, seed, stream, shape):
+    # sigma = 0 and subnormal sigma included: the draw must give +0.0 where
+    # Generator.normal does
+    want = stream_rng(seed, stream).normal(0.0, sigma, shape)
+    got = draw_normal(stream_rng(seed, stream), sigma, shape)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

@@ -70,6 +70,12 @@ def test_squeeze_db_from_gain():
         squeeze_db_from_gain(0.9)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_squeeze_db_from_gain_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match=f"gain must be finite.*got {bad}"):
+        squeeze_db_from_gain(bad)
+
+
 def test_validation():
     with pytest.raises(ValueError):
         optimize(0.0)
