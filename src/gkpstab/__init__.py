@@ -31,16 +31,7 @@ from .codes import (
     gkp_tms_pair,
     logical_gate,
 )
-from .decoders import (
-    DecodeOutcome,
-    Decoder,
-    Read,
-    gaussian_repetition_decoder,
-    gkp_repetition_decoder,
-    gkp_squeezed_repetition_decoder,
-    gkp_tms_decoder,
-    mmse_coefficients,
-)
+from .decoders import DecodeOutcome, Decoder, Read
 from .modular import MODULAR_PERIOD, centered_mod, modular_measure
 from .montecarlo import ComparisonReport, TrialReport, compare, run
 from .noise import (

@@ -137,8 +137,7 @@ class MixturePdf:
         total = w.sum()
         if not (1.0 - 1e-10 <= total <= 1.0 + 1e-12):
             raise ValueError(f"mixture weights sum to {total}, expected 1")
-        if self.base_sigma <= 0:
-            raise ValueError(f"base_sigma must be positive, got {self.base_sigma}")
+        _check_finite("base_sigma", self.base_sigma, positive=True)
         w.flags.writeable = False
         s.flags.writeable = False
         object.__setattr__(self, "weights", w)
@@ -231,8 +230,7 @@ def tms_asymptotic_optimum(sigma: float) -> tuple[float, float]:
     Returns (gain, sigma_L).  Valid when log(pi^1.5 / (2 sigma^4)) is
     positive, i.e. for sigma well below 1.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    _check_finite("sigma", sigma, positive=True)
     big_l = math.log(math.pi**1.5 / (2.0 * sigma**4))
     if big_l <= 0:
         raise ValueError(f"asymptotic form invalid for sigma = {sigma}")

@@ -3,11 +3,13 @@
 These are runtime checks, callable from the command line, that exercise
 the structural identities the rest of the package leans on: symplectic
 form preservation, the beam-splitter realization of two-mode squeezing,
-transversality, passive/noise commutation, and density normalization.
+transversality, passive/noise commutation, density normalization, and
+the decoder weights derived from the codes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -15,6 +17,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from .analytic import gkp_repetition_pdfs, tms_mixture
+from .codes import gaussian_repetition, gkp_repetition, gkp_tms
+from .decoders import Decoder
 from .noise import stream_rng
 from .symplectic import (
     SymplecticTransform,
@@ -35,6 +39,7 @@ __all__ = [
     "check_transversal_beam_splitter",
     "check_passive_noise_commutation",
     "check_pdf_normalization",
+    "check_derived_decoder_weights",
     "run_all_checks",
 ]
 
@@ -200,6 +205,33 @@ def check_pdf_normalization(tol: float = 1e-6) -> CheckResult:
     )
 
 
+def check_derived_decoder_weights(tol: float = 1e-12) -> CheckResult:
+    """`Decoder.for_code` reproduces the closed-form weights: -1/2 and 1
+    for GKP repetition, a residual equal to the mean position noise for
+    Gaussian repetition, and -c and c for two-mode squeezing, with
+    c = 2 sqrt(G(G-1)) s^2 / ((2G-1) s^2 + 2 s_gkp^2) at channel noise s."""
+    sigma = 0.1
+    rep = Decoder.for_code(gkp_repetition(), sigma)
+    devs = [np.subtract(rep.c_q + rep.c_p, (-0.5, 0.0, 0.0, 1.0))]
+    for n_modes in (2, 3, 5):
+        code = gaussian_repetition(n_modes)
+        # exact reads are linear: decoding the reshaped unit noises gives
+        # the residual's response to each channel quadrature
+        out = Decoder.for_code(code, sigma)(inverse(code.encoder).matrix.T)
+        devs.append(out.xi_q - np.tile((1.0 / n_modes, 0.0), n_modes))
+    for gain, sigma_gkp in itertools.product((1.5, 4.806, 20.0), (0.0, 0.0125, 0.05)):
+        dec = Decoder.for_code(gkp_tms(gain, sigma_gkp), sigma)
+        c = (2.0 * math.sqrt(gain * (gain - 1.0)) * sigma**2
+             / ((2.0 * gain - 1.0) * sigma**2 + 2.0 * sigma_gkp**2))
+        devs.append(np.array([-dec.c_q[0], dec.c_p[1]]) / c - 1.0)
+    worst = max(float(np.abs(d).max()) for d in devs)
+    return CheckResult(
+        name="derived_decoder_weights",
+        passed=worst <= tol,
+        detail=f"max deviation from the closed forms {worst:.3e}",
+    )
+
+
 def run_all_checks(seed: int = 20260823) -> list[CheckResult]:
     return [
         check_symplectic_randomized(seed=seed),
@@ -207,4 +239,5 @@ def run_all_checks(seed: int = 20260823) -> list[CheckResult]:
         check_transversal_beam_splitter(),
         check_passive_noise_commutation(seed=seed),
         check_pdf_normalization(),
+        check_derived_decoder_weights(),
     ]

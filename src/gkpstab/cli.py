@@ -29,12 +29,7 @@ from .codes import (
     gkp_squeezed_repetition,
     gkp_tms,
 )
-from .decoders import (
-    gaussian_repetition_decoder,
-    gkp_repetition_decoder,
-    gkp_squeezed_repetition_decoder,
-    gkp_tms_decoder,
-)
+from .decoders import Decoder
 from .modular import MODULAR_PERIOD
 from .montecarlo import run
 from .noise import gkp_sigma_from_db
@@ -121,6 +116,14 @@ class _CsvBuilder:
         return self._buf.getvalue()
 
 
+def _sample(code, sigma: float, config: ExperimentConfig):
+    """Monte Carlo of `code` at channel noise sigma, decoded for that sigma."""
+    return run(
+        code, Decoder.for_code(code, sigma), sigma, config.n_trials, config.seed,
+        config.shards,
+    )
+
+
 def cmd_fig3(config: ExperimentConfig) -> str:
     """Analytic vs Monte Carlo output spreads of the GKP repetition code."""
     out = _CsvBuilder("gkpstab.fig3", config.describe())
@@ -136,12 +139,9 @@ def cmd_fig3(config: ExperimentConfig) -> str:
         ]
     )
     code = gkp_repetition()
-    decoder = gkp_repetition_decoder()
     for sigma in config.sigmas():
         std_q, std_p = gkp_repetition_stds(float(sigma))
-        report = run(
-            code, decoder, float(sigma), config.n_trials, config.seed, config.shards
-        )
+        report = _sample(code, float(sigma), config)
         out.row(
             [sigma, std_q, std_p, report.std_q, report.std_p,
              report.se_std_q, report.se_std_p]
@@ -205,11 +205,7 @@ def cmd_appendix_d(
         for sigma in sigmas:
             lam = wrap_constant * MODULAR_PERIOD / float(sigma)
             code = gkp_squeezed_repetition(n_modes, lam)
-            decoder = gkp_squeezed_repetition_decoder(n_modes, lam)
-            report = run(
-                code, decoder, float(sigma), config.n_trials, config.seed,
-                config.shards,
-            )
+            report = _sample(code, float(sigma), config)
             spreads.append(
                 math.sqrt(0.5 * (report.std_q**2 + report.std_p**2))
             )
@@ -221,15 +217,13 @@ def cmd_appendix_d(
     return out.text()
 
 
-# code name -> builder(sigma, n_modes, gain, lam, sigma_gkp) -> (code, decoder),
-# with the arguments abbreviated s, n, g, lam, t
+# code name -> builder(n_modes, gain, lam, sigma_gkp) -> CodeSpec, with the
+# arguments abbreviated n, g, lam, t
 SWEEP_CODES = {
-    "gaussian-rep": lambda s, n, g, lam, t: (
-        gaussian_repetition(n), gaussian_repetition_decoder(n)),
-    "gkp-rep": lambda s, n, g, lam, t: (gkp_repetition(t), gkp_repetition_decoder(t)),
-    "gkp-tms": lambda s, n, g, lam, t: (gkp_tms(g, t), gkp_tms_decoder(g, s, t)),
-    "squeezed-rep": lambda s, n, g, lam, t: (
-        gkp_squeezed_repetition(n, lam, t), gkp_squeezed_repetition_decoder(n, lam, t)),
+    "gaussian-rep": lambda n, g, lam, t: gaussian_repetition(n),
+    "gkp-rep": lambda n, g, lam, t: gkp_repetition(t),
+    "gkp-tms": lambda n, g, lam, t: gkp_tms(g, t),
+    "squeezed-rep": lambda n, g, lam, t: gkp_squeezed_repetition(n, lam, t),
 }
 
 
@@ -244,7 +238,7 @@ def cmd_sweep(
     """Monte Carlo summary of any built-in code over a noise grid."""
     if code_name not in SWEEP_CODES:
         raise ValueError(f"unknown code {code_name!r}")
-    build = SWEEP_CODES[code_name]
+    code = SWEEP_CODES[code_name](n_modes, gain, lam, sigma_gkp)
     out = _CsvBuilder("gkpstab.sweep", config.describe())
     out.comment(
         f"code={code_name} n_modes={n_modes} gain={gain:g} lam={lam:g} "
@@ -254,10 +248,7 @@ def cmd_sweep(
         ["sigma", "mean_q", "mean_p", "std_q", "std_p", "se_std_q", "se_std_p"]
     )
     for sigma in config.sigmas():
-        code, decoder = build(float(sigma), n_modes, gain, lam, sigma_gkp)
-        report = run(
-            code, decoder, float(sigma), config.n_trials, config.seed, config.shards
-        )
+        report = _sample(code, float(sigma), config)
         out.row(
             [sigma, report.mean_q, report.mean_p, report.std_q, report.std_p,
              report.se_std_q, report.se_std_p]

@@ -2,9 +2,10 @@
 
 Every code is decoded the same way: ancilla quadratures of the reshaped
 noise z = S^{-1} xi (shape (..., 2N)) are read one after another, each
-reduced modulo sqrt(2*pi) by modular_measure, and a linear correction
-over the reads is subtracted from the data mode.  A `Decoder` is only
-that data; the factories below fill it in for each built-in code.
+less a feed-forward of earlier reads and reduced modulo sqrt(2*pi) by
+modular_measure, and a linear correction over the reads is subtracted
+from the data mode.  A `Decoder` is only that data, and
+`Decoder.for_code` derives it from the code's encoder.
 """
 
 from __future__ import annotations
@@ -19,16 +20,8 @@ from . import codes
 from .modular import modular_measure
 from .symplectic import inverse
 
-__all__ = [
-    "DecodeOutcome",
-    "Read",
-    "Decoder",
-    "mmse_coefficients",
-    "gaussian_repetition_decoder",
-    "gkp_repetition_decoder",
-    "gkp_tms_decoder",
-    "gkp_squeezed_repetition_decoder",
-]
+# the *_decoder wrappers at the end keep older call forms and are not exported
+__all__ = ["DecodeOutcome", "Read", "Decoder"]
 
 
 @dataclass(frozen=True)
@@ -42,11 +35,10 @@ class DecodeOutcome:
 class Read(NamedTuple):
     """z[..., column] minus weight * m_j for each (j, weight) in
     `feed_forward` (j an earlier read), reduced modulo sqrt(2*pi) unless
-    the decoder is exact, then divided by `divisor`."""
+    the decoder is exact."""
 
     column: int
     feed_forward: tuple = ()
-    divisor: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -73,19 +65,63 @@ class Decoder:
         if not len(self.reads) == len(self.c_q) == len(self.c_p):
             raise ValueError("need one c_q and one c_p weight per read")
 
+    @classmethod
+    def for_code(cls, code: codes.CodeSpec, sigma: float) -> Decoder:
+        """Successive-cancellation reads and MMSE weights derived from the code.
+
+        Reads the ancilla positions in mode order, then, for GKP ancillas,
+        the ancilla momenta from the last mode back.  Each read is its row
+        of S^{-1} plus its own noise of variance 2 sigma_gkp^2 (from the
+        code).  Unnormalised modified Gram-Schmidt over the reads gives
+        row_k = w_k + sum_{j<k} f_kj w_j with orthogonal w_j: read k
+        subtracts f_kj m_j before its reduction, and the projections of the
+        data rows q1 and p1 onto the w_j are c_q and c_p, so that without
+        wraps the estimate is the linear MMSE one.  Zero coefficients come
+        out exact and leave the feed-forward.  Only data mode 1 is estimated.
+        """
+        if not (math.isfinite(sigma) and sigma >= 0):
+            raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
+        n, exact = code.n_modes, code.ancilla_kind == "position"
+        columns = [2 * k for k in range(code.data_modes, n)]
+        if not exact:
+            columns += [2 * k + 1 for k in range(n - 1, code.data_modes - 1, -1)]
+        sigma_gkp = 0.0 if exact else code.ancilla_sigma_gkp
+        # rows scaled by sigma give the same coefficients and stay finite at
+        # sigma = 0, where noisy reads carry no channel noise and weigh nothing
+        scale, noise = (sigma, math.sqrt(2.0) * sigma_gkp) if sigma_gkp > 0 else (1.0, 0.0)
+        r = len(columns)
+        t = inverse(code.encoder).matrix
+        rows = np.zeros((r + 2, 2 * n + r))
+        rows[:, : 2 * n] = scale * t[columns + [0, 1]]
+        rows[range(r), range(2 * n, 2 * n + r)] = noise
+        f = np.zeros((r + 2, r))
+        for j in range(r):
+            w = rows[j]
+            f[j + 1 :, j] = rows[j + 1 :] @ w / (w @ w)
+            rows[j + 1 :] -= np.outer(f[j + 1 :, j], w)
+        reads = tuple(
+            Read(col, tuple((j, float(f[k, j])) for j in range(k) if f[k, j]))
+            for k, col in enumerate(columns)
+        )
+        return cls(n, reads, tuple(f[r].tolist()), tuple(f[r + 1].tolist()), sigma_gkp, exact)
+
     def __call__(self, z, rng=None) -> DecodeOutcome:
         x = np.asarray(z, dtype=float)
         if x.shape[-1] != 2 * self.n_modes:
             raise ValueError(f"syndrome width {x.shape[-1]} does not match {self.n_modes} modes")
         gen = np.random.default_rng(rng) if self.sigma_gkp > 0 else None
+        # one product buffer for every feed-forward term of the call
+        term = np.empty(x.shape[:-1])
         values = []
         for read in self.reads:
             v = x[..., read.column]
-            for j, weight in read.feed_forward:
-                v = v - weight * values[j]
+            if read.feed_forward:
+                v = v.copy()
+                for j, weight in read.feed_forward:
+                    v -= np.multiply(values[j], weight, out=term)
             if not self.exact:
                 v = modular_measure(v, self.sigma_gkp, gen)
-            values.append(v if read.divisor == 1.0 else v / read.divisor)
+            values.append(v)
         return DecodeOutcome(
             xi_q=x[..., 0] - _combine(self.c_q, values),
             xi_p=x[..., 1] - _combine(self.c_p, values),
@@ -101,77 +137,23 @@ def _combine(weights, values):
     return 0.0 if first is None else sum(terms, first)
 
 
-def mmse_coefficients(gain: float, sigma: float, sigma_gkp: float = 0.0) -> tuple[float, float]:
-    """Minimum-mean-square-error rescaling for the two-mode squeezing code.
-
-    Returns (c_q, c_p) such that the estimates are
-    z_q^(1) - c_q * m_q and z_p^(1) - c_p * m_p, with m the modular
-    syndrome measurements.  The magnitude is
-
-        c = 2 sqrt(G(G-1)) sigma^2 / ((2G-1) sigma^2 + 2 sigma_gkp^2)
-
-    which tends to 2 sqrt(G(G-1)) / (2G-1) < 1 for noiseless ancillas.
-    """
-    if gain < 1.0:
-        raise ValueError(f"gain must be >= 1, got {gain}")
-    if sigma < 0 or sigma_gkp < 0:
-        raise ValueError("noise strengths must be nonnegative")
-    num = 2.0 * math.sqrt(gain * (gain - 1.0))
-    if sigma == 0.0 and sigma_gkp == 0.0:
-        c = num / (2.0 * gain - 1.0)
-    else:
-        c = num * sigma**2 / ((2.0 * gain - 1.0) * sigma**2 + 2.0 * sigma_gkp**2)
-    return -c, c
-
-
+# Apart from gkp_tms's, the ancillas of these codes are noiseless, so the
+# channel sigma passed to for_code does not enter their weights.
 def gaussian_repetition_decoder(n_modes: int) -> Decoder:
-    """Maximum-likelihood recovery for the Gaussian repetition code.
-
-    Position-eigenstate ancillas expose z_q^(k) exactly; correcting by
-    minus their sum over n leaves the mean of the n position noises.
-    Nothing is learnt about momentum, so z_p^(1) is returned unchanged.
-    """
-    reads = tuple(Read(2 * k) for k in range(1, n_modes))
-    weights = (-1.0 / n_modes,) * len(reads)
-    return Decoder(n_modes, reads, weights, (0.0,) * len(reads), exact=True)
+    """`Decoder.for_code` of `codes.gaussian_repetition(n_modes)`."""
+    return Decoder.for_code(codes.gaussian_repetition(n_modes), 1.0)
 
 
-def gkp_repetition_decoder(sigma_gkp: float = 0.0) -> Decoder:
-    """Two-mode GKP repetition code: half the ancilla position is added
-    to the data position, the ancilla momentum subtracted from its momentum."""
-    return Decoder(2, (Read(2), Read(3)), (-0.5, 0.0), (0.0, 1.0), sigma_gkp)
+def gkp_repetition_decoder() -> Decoder:
+    """`Decoder.for_code` of `codes.gkp_repetition()`."""
+    return Decoder.for_code(codes.gkp_repetition(), 1.0)
 
 
 def gkp_tms_decoder(gain: float, sigma: float, sigma_gkp: float = 0.0) -> Decoder:
-    """MMSE recovery for the GKP two-mode squeezing code."""
-    c_q, c_p = mmse_coefficients(gain, sigma, sigma_gkp)
-    return Decoder(2, (Read(2), Read(3)), (c_q, 0.0), (0.0, c_p), sigma_gkp)
+    """`Decoder.for_code` of `codes.gkp_tms(gain, sigma_gkp)` at channel noise sigma."""
+    return Decoder.for_code(codes.gkp_tms(gain, sigma_gkp), sigma)
 
 
-def gkp_squeezed_repetition_decoder(n_modes: int, lam: float, sigma_gkp: float = 0.0) -> Decoder:
-    """Sequential chain recovery for the N-mode GKP squeezed repetition code.
-
-    Ancilla positions are read in mode order; their weighted sum
-    estimates the amplified data position noise, leaving a residual of
-    order sigma/lam^(N-1).  Ancilla momenta are read from the last mode
-    backwards, feeding forward the transferred noise of the later modes,
-    which leaves the same residual on momentum.  The weights come from
-    the inverse encoder, whose position block pairs each mode with its
-    predecessor and whose momentum block is upper triangular.
-    """
-    t = inverse(codes.gkp_squeezed_repetition(n_modes, lam).encoder).matrix
-    tq, tp = t[0::2, 0::2].tolist(), t[1::2, 1::2].tolist()
-    # position weights make the intermediate noises telescope away
-    c_q = [tq[0][0] / tq[1][0]]
-    for k in range(1, n_modes - 1):
-        c_q.append(-c_q[-1] * tq[k][k] / tq[k + 1][k])
-    # momentum reads follow the position reads, last mode first, so the
-    # momentum of mode j is read number 2 * n_modes - 2 - j
-    back = range(n_modes - 1, 0, -1)
-    reads = [Read(2 * k) for k in range(1, n_modes)]
-    for k in back:
-        feed = tuple((2 * n_modes - 2 - j, tp[k][j]) for j in range(k + 1, n_modes))
-        reads.append(Read(2 * k + 1, feed, tp[k][k]))
-    zeros = [0.0] * (n_modes - 1)
-    c_p = zeros + [tp[0][k] for k in back]
-    return Decoder(n_modes, tuple(reads), tuple(c_q + zeros), tuple(c_p), sigma_gkp)
+def gkp_squeezed_repetition_decoder(n_modes: int, lam: float) -> Decoder:
+    """`Decoder.for_code` of `codes.gkp_squeezed_repetition(n_modes, lam)`."""
+    return Decoder.for_code(codes.gkp_squeezed_repetition(n_modes, lam), 1.0)

@@ -54,6 +54,9 @@ def test_mixture_pdf_validation():
         MixturePdf(np.array([0.7, 0.2]), np.array([0.0, 1.0]), 0.1)
     with pytest.raises(ValueError):
         MixturePdf(np.array([1.2, -0.2]), np.array([0.0, 1.0]), 0.1)
+    for base_sigma in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="base_sigma must be finite"):
+            MixturePdf(np.array([0.5, 0.5]), np.array([0.0, 1.0]), base_sigma)
 
 
 def test_mixture_moments_match_quadrature():
@@ -154,6 +157,9 @@ def test_tms_asymptotic_optimum_reference():
     assert sigma_l == pytest.approx(0.03609806119380331, rel=1e-10)
     with pytest.raises(ValueError):
         tms_asymptotic_optimum(2.0)
+    for sigma in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            tms_asymptotic_optimum(sigma)
 
 
 def test_noisy_gkp_reduces_to_ideal():

@@ -183,7 +183,7 @@ def test_main_exit_codes(capsys):
 def test_main_checks_subcommand(capsys):
     assert main(["checks"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 5
+    assert out.count("PASS") == 6
     assert "FAIL" not in out
 
 

@@ -76,7 +76,8 @@ def test_gkp_tms_pair_transversal_beam_splitter():
 @pytest.mark.parametrize("n_modes", [2, 3, 4, 5])
 def test_squeezed_repetition_chain_structure(n_modes):
     """The inverse encoder must expose bidiagonal position chains and
-    triangular momentum chains; the decoder depends on this shape."""
+    triangular momentum chains; the decoder's read order (momenta from
+    the last mode back) relies on this shape."""
     lam = 1.7
     code = gkp_squeezed_repetition(n_modes, lam)
     assert is_symplectic(code.encoder, tol=1e-10)

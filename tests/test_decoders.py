@@ -3,22 +3,46 @@ import math
 import numpy as np
 import pytest
 
+from gkpstab.analytic import tms_variance
 from gkpstab.codes import (
+    CodeSpec,
     gaussian_repetition,
     gkp_repetition,
     gkp_squeezed_repetition,
     gkp_tms,
+    gkp_tms_pair,
 )
 from gkpstab.decoders import (
+    Decoder,
+    Read,
     gaussian_repetition_decoder,
     gkp_repetition_decoder,
     gkp_squeezed_repetition_decoder,
     gkp_tms_decoder,
-    mmse_coefficients,
 )
-from gkpstab.modular import modular_measure
+from gkpstab.modular import centered_mod, modular_measure
+from gkpstab.montecarlo import run
 from gkpstab.noise import reshape_noise, stream_rng
-from gkpstab.symplectic import inverse
+from gkpstab.symplectic import compose, inverse, sum_gate, two_mode_squeeze
+
+# the acceptance suite's seed
+SEED = 20260823
+
+
+def _tms_weight(gain, sigma, sigma_gkp):
+    """Closed-form MMSE weight magnitude of the two-mode squeezing code."""
+    num = 2.0 * math.sqrt(gain * (gain - 1.0)) * sigma**2
+    return num / ((2.0 * gain - 1.0) * sigma**2 + 2.0 * sigma_gkp**2)
+
+
+def _lstsq_residual(code, row):
+    """Row `row` of S^{-1} less its least-squares projection onto the
+    ancilla rows: the linear residual of noiseless GKP ancillas, whose
+    every quadrature is read."""
+    t = inverse(code.encoder).matrix
+    ancillas = t[2 * code.data_modes :]
+    x = np.linalg.lstsq(ancillas.T, t[row], rcond=None)[0]
+    return t[row] - ancillas.T @ x
 
 
 def test_gaussian_repetition_small_noise_algebra():
@@ -49,6 +73,12 @@ def test_gkp_repetition_small_noise_is_symmetrized():
     assert np.allclose(out.xi_p, xi[:, 1], atol=1e-12)
 
 
+def test_gkp_repetition_weights_are_exact():
+    dec = gkp_repetition_decoder()
+    assert dec.reads == (Read(2), Read(3))
+    assert dec.c_q == (-0.5, 0.0) and dec.c_p == (0.0, 1.0)
+
+
 def test_gkp_repetition_zero_noise():
     out = gkp_repetition_decoder()(np.zeros(4), None)
     assert out.xi_q == 0.0 and out.xi_p == 0.0
@@ -56,39 +86,47 @@ def test_gkp_repetition_zero_noise():
 
 def test_gkp_repetition_noisy_ancilla_reproducible():
     z = stream_rng(21, 2).normal(0.0, 0.3, (50, 4))
-    a = gkp_repetition_decoder(0.1)(z, 5)
-    b = gkp_repetition_decoder(0.1)(z, 5)
-    c = gkp_repetition_decoder(0.1)(z, 6)
+    dec = Decoder.for_code(gkp_repetition(0.1), 0.3)
+    a = dec(z, 5)
+    b = dec(z, 5)
+    c = dec(z, 6)
     assert np.array_equal(a.xi_q, b.xi_q) and np.array_equal(a.xi_p, b.xi_p)
     assert not np.array_equal(a.xi_q, c.xi_q)
 
 
 def test_mmse_ideal_limit():
-    c_q, c_p = mmse_coefficients(2.0, 0.0)
-    assert c_p == pytest.approx(2.0 * math.sqrt(2.0) / 3.0, abs=1e-15)
-    assert c_q == -c_p
+    dec = gkp_tms_decoder(2.0, 0.1)
+    c_q, c_p = dec.c_q[0], dec.c_p[1]
+    assert c_p == pytest.approx(2.0 * math.sqrt(2.0) / 3.0, rel=1e-12, abs=0)
+    assert c_q == pytest.approx(-c_p, rel=1e-12, abs=0)
+    assert dec.c_q[1] == 0.0 and dec.c_p[0] == 0.0
 
 
 def test_mmse_magnitude_below_one():
+    """The derived weights equal the closed form, whose magnitude is below one."""
     gen = stream_rng(21, 3)
+    cases = [(4.806, 0.1, s) for s in (0.0, 0.0125, 0.05)]
     for _ in range(300):
-        gain = 1.0 + gen.uniform(0.0, 30.0)
-        sigma = gen.uniform(0.0, 1.0)
-        sigma_gkp = gen.uniform(0.0, 0.3)
-        c_q, c_p = mmse_coefficients(gain, sigma, sigma_gkp)
-        assert abs(c_p) < 1.0
-        assert c_q == -c_p
+        cases.append((1.0 + gen.uniform(0.0, 30.0), gen.uniform(0.0, 1.0),
+                      gen.uniform(0.0, 0.3)))
+    for gain, sigma, sigma_gkp in cases:
+        dec = gkp_tms_decoder(gain, sigma, sigma_gkp)
+        c = _tms_weight(gain, sigma, sigma_gkp)
+        assert dec.c_p[1] == pytest.approx(c, rel=1e-12, abs=0)
+        assert dec.c_q[0] == pytest.approx(-c, rel=1e-12, abs=0)
+        assert abs(dec.c_p[1]) < 1.0
 
 
 def test_mmse_trivial_gain_measures_nothing():
-    assert mmse_coefficients(1.0, 0.3) == (0.0, 0.0)
+    dec = gkp_tms_decoder(1.0, 0.3)
+    assert dec.c_q == (0.0, 0.0) and dec.c_p == (0.0, 0.0)
 
 
 def test_mmse_validation():
     with pytest.raises(ValueError):
-        mmse_coefficients(0.5, 0.1)
+        gkp_tms_decoder(0.5, 0.1)
     with pytest.raises(ValueError):
-        mmse_coefficients(2.0, -0.1)
+        gkp_tms_decoder(2.0, -0.1)
 
 
 def test_gkp_tms_small_noise_linearization():
@@ -99,18 +137,23 @@ def test_gkp_tms_small_noise_linearization():
     xi = gen.normal(0.0, sigma, (2000, 4))
     z = reshape_noise(code.encoder, xi)
     out = gkp_tms_decoder(gain, sigma)(z, None)
-    c_q, c_p = mmse_coefficients(gain, sigma)
-    assert np.allclose(out.xi_q, z[:, 0] - c_q * z[:, 2], atol=1e-12)
-    assert np.allclose(out.xi_p, z[:, 1] - c_p * z[:, 3], atol=1e-12)
+    c = _tms_weight(gain, sigma, 0.0)
+    assert np.allclose(out.xi_q, z[:, 0] + c * z[:, 2], atol=1e-12)
+    assert np.allclose(out.xi_p, z[:, 1] - c * z[:, 3], atol=1e-12)
     # the estimator beats the bare channel here
     assert np.var(out.xi_q) < sigma**2
 
 
 @pytest.mark.parametrize("n_modes,lam", [(2, 3.0), (3, 2.0), (4, 1.8)])
 def test_squeezed_repetition_single_component_responses(n_modes, lam):
-    """Trace single noise components through the measurement chains."""
+    """Trace single noise components through the measurement chains.
+
+    The position estimate is the least-squares projection of the data
+    row of S^{-1} onto the ancilla rows, which leaves no more than the
+    zero-forcing chain's residual sigma / lam^(N-1)."""
     atten = lam ** (n_modes - 1)
-    enc = gkp_squeezed_repetition(n_modes, lam).encoder
+    code = gkp_squeezed_repetition(n_modes, lam)
+    enc = code.encoder
 
     def respond(index, amount):
         xi = np.zeros(2 * n_modes)
@@ -119,13 +162,14 @@ def test_squeezed_repetition_single_component_responses(n_modes, lam):
             reshape_noise(enc, xi), None
         )
 
-    # data position noise is fully corrected
+    residual_q = _lstsq_residual(code, 0)
+    for index in range(2 * n_modes):
+        out = respond(index, 0.01)
+        assert out.xi_q == pytest.approx(0.01 * residual_q[index], abs=1e-12)
+    assert residual_q @ residual_q <= atten**-2
+    # data position noise leaves momentum alone
     out = respond(0, 0.01)
-    assert out.xi_q == pytest.approx(0.0, abs=1e-12)
     assert out.xi_p == pytest.approx(0.0, abs=1e-12)
-    # the last mode's position noise survives, attenuated
-    out = respond(2 * (n_modes - 1), 0.01)
-    assert out.xi_q == pytest.approx(0.01 / atten, abs=1e-12)
     # data momentum noise survives, attenuated
     out = respond(1, 0.01)
     assert out.xi_p == pytest.approx(0.01 / atten, abs=1e-12)
@@ -148,25 +192,21 @@ def test_squeezed_repetition_batch_small_noise_scaling():
 def test_squeezed_repetition_read_order_pins_noisy_draws():
     """Noisy ancilla reads draw in the documented order: positions of
     modes 2..N, then momenta from mode N back to mode 2.  The reference
-    below writes the N = 3 chain out by hand on a second generator with
-    the same seed."""
+    below walks the decoder's reads with explicit modular_measure calls
+    on a second generator with the same seed."""
     n_modes, lam, sigma_gkp = 3, 2.5, 0.05
     z = stream_rng(21, 6).normal(0.0, 0.2, (400, 2 * n_modes))
-    out = gkp_squeezed_repetition_decoder(n_modes, lam, sigma_gkp)(
-        z, np.random.default_rng(9)
-    )
+    dec = Decoder.for_code(gkp_squeezed_repetition(n_modes, lam, sigma_gkp), 0.2)
+    assert [read.column for read in dec.reads] == [2, 4, 5, 3]
+    out = dec(z, np.random.default_rng(9))
 
     gen = np.random.default_rng(9)
-    t = inverse(gkp_squeezed_repetition(n_modes, lam).encoder).matrix
-    tq, tp = t[0::2, 0::2], t[1::2, 1::2]
-    c1 = tq[0, 0] / tq[1, 0]
-    c2 = -c1 * tq[1, 1] / tq[2, 1]
-    m_q2 = modular_measure(z[:, 2], sigma_gkp, gen)
-    m_q3 = modular_measure(z[:, 4], sigma_gkp, gen)
-    m_p3 = modular_measure(z[:, 5], sigma_gkp, gen) / tp[2, 2]
-    m_p2 = modular_measure(z[:, 3] - tp[1, 2] * m_p3, sigma_gkp, gen) / tp[1, 1]
-    ref_q = z[:, 0] - (c1 * m_q2 + c2 * m_q3)
-    ref_p = z[:, 1] - tp[0, 1] * m_p2 - tp[0, 2] * m_p3
+    values = []
+    for read in dec.reads:
+        v = z[:, read.column] - sum(w * values[j] for j, w in read.feed_forward)
+        values.append(modular_measure(v, sigma_gkp, gen))
+    ref_q = z[:, 0] - sum(c * v for c, v in zip(dec.c_q, values))
+    ref_p = z[:, 1] - sum(c * v for c, v in zip(dec.c_p, values))
     assert np.allclose(out.xi_q, ref_q, rtol=0, atol=1e-9)
     assert np.allclose(out.xi_p, ref_p, rtol=0, atol=1e-9)
 
@@ -174,4 +214,79 @@ def test_squeezed_repetition_read_order_pins_noisy_draws():
 def test_decoder_rejects_bad_ancilla_noise_at_build():
     for sigma_gkp in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError):
-            gkp_repetition_decoder(sigma_gkp)
+            Decoder(2, (Read(2), Read(3)), (-0.5, 0.0), (0.0, 1.0), sigma_gkp)
+        with pytest.raises(ValueError):
+            Decoder.for_code(gkp_repetition(sigma_gkp), 0.1)
+
+
+def test_for_code_rejects_bad_sigma():
+    for sigma in (-0.1, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            Decoder.for_code(gkp_tms(2.0), sigma)
+
+
+@pytest.mark.parametrize(
+    "code", [gkp_tms(2.0, 0.05), gkp_squeezed_repetition(3, 2.0, 0.05)]
+)
+def test_zero_sigma_with_noisy_ancillas_measures_nothing(code):
+    """The reads are pure ancilla noise: no weight, no feed-forward."""
+    with np.errstate(all="raise"):
+        dec = Decoder.for_code(code, 0.0)
+    assert all(c == 0.0 for c in dec.c_q + dec.c_p)
+    assert all(read.feed_forward == () for read in dec.reads)
+
+
+def test_noisy_gkp_repetition_weights_are_mmse():
+    """With ancilla noise 2 sigma_gkp^2 per read the weights shrink to
+    the scalar MMSE values."""
+    sigma, sigma_gkp = 0.1, 0.05
+    dec = Decoder.for_code(gkp_repetition(sigma_gkp), sigma)
+    s2, t2 = sigma**2, 2.0 * sigma_gkp**2
+    assert dec.c_q[0] == pytest.approx(-s2 / (2.0 * s2 + t2), rel=1e-12, abs=0)
+    assert dec.c_p[1] == pytest.approx(s2 / (s2 + t2), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("shape", [(300,), ()])
+def test_feed_forward_in_place_matches_out_of_place(shape):
+    """The decoder's in-place feed-forward gives the bits of the
+    out-of-place loop `v = v - weight * m_j`."""
+    n_modes = 4
+    code = gkp_squeezed_repetition(n_modes, 1.8)
+    dec = Decoder.for_code(code, 0.1)
+    assert any(read.feed_forward for read in dec.reads)
+    z = reshape_noise(code.encoder, stream_rng(21, 7).normal(0.0, 0.1, shape + (2 * n_modes,)))
+    out = dec(z)
+
+    values = []
+    for read in dec.reads:
+        v = z[..., read.column]
+        for j, weight in read.feed_forward:
+            v = v - weight * values[j]
+        values.append(centered_mod(v))
+    terms = [c * v for c, v in zip(dec.c_q, values) if c]
+    assert np.array_equal(out.xi_q, z[..., 0] - sum(terms[1:], terms[0]))
+    terms = [c * v for c, v in zip(dec.c_p, values) if c]
+    assert np.array_equal(out.xi_p, z[..., 1] - sum(terms[1:], terms[0]))
+
+
+def test_three_mode_code_defined_here_decodes():
+    """A code with no decoder of its own: one data mode, two GKP
+    ancillas.  Without wraps the sampled variance is the least-squares
+    residual of the data rows."""
+    sigma, gain = 0.05, 2.0
+    code = CodeSpec(compose(two_mode_squeeze(gain, 1, 2, 3), sum_gate(1, 3, 3)), 1)
+    dec = Decoder.for_code(code, sigma)
+    assert any(read.feed_forward for read in dec.reads)
+    rep = run(code, dec, sigma, 200_000, seed=SEED)
+    for row, std, se in ((0, rep.std_q, rep.se_var_q), (1, rep.std_p, rep.se_var_p)):
+        r = _lstsq_residual(code, row)
+        assert abs(std**2 - sigma**2 * (r @ r)) <= 3 * se
+
+
+def test_gkp_tms_pair_decodes_data_mode_one():
+    sigma, gain = 0.1, 4.806
+    code = gkp_tms_pair(gain)
+    rep = run(code, Decoder.for_code(code, sigma), sigma, 400_000, seed=SEED)
+    var = tms_variance(sigma, gain)
+    assert abs(rep.std_q**2 - var) <= 3 * rep.se_var_q
+    assert abs(rep.std_p**2 - var) <= 3 * rep.se_var_p

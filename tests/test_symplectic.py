@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkpstab.noise import stream_rng
 from gkpstab.symplectic import (
@@ -156,3 +158,54 @@ def test_direct_sum():
 def test_invalid_parameters_raise(builder):
     with pytest.raises(ValueError):
         builder()
+
+
+@st.composite
+def _circuit(draw, n_modes):
+    """A product of one to four random gates on any pair of modes."""
+    gates = []
+    for _ in range(draw(st.integers(1, 4))):
+        a, b = draw(st.permutations(range(1, n_modes + 1)))[:2]
+        kind = draw(st.sampled_from(("sum", "squeeze", "tms", "bs")))
+        if kind == "sum":
+            gates.append(sum_gate(a, b, n_modes))
+        elif kind == "squeeze":
+            gates.append(single_mode_squeeze(math.exp(draw(st.floats(-1.0, 1.0))), a, n_modes))
+        elif kind == "tms":
+            gates.append(two_mode_squeeze(draw(st.floats(1.0, 5.0)), a, b, n_modes))
+        else:
+            gates.append(beam_splitter(draw(st.floats(0.0, 1.0)), a, b, n_modes))
+    return compose(*gates)
+
+
+_pairs = st.integers(2, 4).flatmap(lambda n: st.tuples(_circuit(n), _circuit(n)))
+
+
+def _rounding_bound(a, b):
+    # entrywise rounding budget of a matrix product a @ b
+    return 1e-13 * max(1.0, float((np.abs(a) @ np.abs(b)).max()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pairs)
+def test_inverse_of_product_reverses_the_inverses(pair):
+    a, b = pair
+    lhs = inverse(compose(a, b)).matrix
+    rhs = compose(inverse(b), inverse(a)).matrix
+    assert np.abs(lhs - rhs).max() <= _rounding_bound(a.matrix, b.matrix)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pairs)
+def test_product_times_its_inverse_is_identity(pair):
+    s = compose(*pair)
+    s_inv = inverse(s)
+    eye = np.eye(2 * s.n_modes)
+    assert np.abs(compose(s, s_inv).matrix - eye).max() <= _rounding_bound(s.matrix, s_inv.matrix)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pairs)
+def test_random_products_are_symplectic(pair):
+    s = compose(*pair).matrix
+    assert is_symplectic(compose(*pair), tol=_rounding_bound(s, s.T))
