@@ -70,13 +70,13 @@ class Decoder:
         """Successive-cancellation reads and MMSE weights derived from the code.
 
         Reads the ancilla positions in mode order, then, for GKP ancillas,
-        the ancilla momenta from the last mode back.  Each read is its row
-        of S^{-1} plus its own noise of variance 2 sigma_gkp^2 (from the
-        code).  Unnormalised modified Gram-Schmidt over the reads gives
-        row_k = w_k + sum_{j<k} f_kj w_j with orthogonal w_j: read k
-        subtracts f_kj m_j before its reduction, and the projections of the
-        data rows q1 and p1 onto the w_j are c_q and c_p, so that without
-        wraps the estimate is the linear MMSE one.  Zero coefficients come
+        the momenta from the last mode back; each read is its row of S^{-1}
+        plus its own noise of variance 2 sigma_gkp^2 (from the code).
+        Unnormalised modified Gram-Schmidt over the reads gives row_k = w_k
+        + sum_{j<k} f_kj w_j with orthogonal w_j: read k subtracts f_kj m_j
+        before its reduction (exact reads fold this into the weights), and
+        the projections of the data rows q1 and p1 onto the w_j are c_q and
+        c_p, the linear MMSE estimate without wraps.  Zero coefficients come
         out exact and leave the feed-forward.  Only data mode 1 is estimated.
         """
         if not (math.isfinite(sigma) and sigma >= 0):
@@ -99,6 +99,10 @@ class Decoder:
             w = rows[j]
             f[j + 1 :, j] = rows[j + 1 :] @ w / (w @ w)
             rows[j + 1 :] -= np.outer(f[j + 1 :, j], w)
+        if exact:
+            # exact reads are linear: with z_reads = (I + F) m, c.m = ((I + F)^-T c).z
+            f[r:] = np.linalg.solve(np.eye(r) + np.tril(f[:r], -1).T, f[r:].T).T
+            f[:r] = 0.0
         reads = tuple(
             Read(col, tuple((j, float(f[k, j])) for j in range(k) if f[k, j]))
             for k, col in enumerate(columns)
