@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .analytic import gkp_repetition_pdfs, tms_mixture
+from .analytic import _gkp_repetition_laws, tms_mixture
 from .codes import gaussian_repetition, gkp_repetition, gkp_tms
 from .decoders import Decoder
 from .noise import stream_rng
@@ -174,22 +174,11 @@ def check_pdf_normalization(tol: float = 1e-6) -> CheckResult:
     for sigma in (0.1, 0.3, 0.5):
         half = math.sqrt(math.pi / 2.0)
         reach = 4 * half + 8 * sigma
+        law_q, law_p = _gkp_repetition_laws(sigma)
         centers_q = [n * half for n in range(-4, 5)]
-        norm_q, _ = quad(
-            lambda u: gkp_repetition_pdfs(u, sigma)[0],
-            -reach,
-            reach,
-            points=centers_q,
-            limit=200,
-        )
+        norm_q, _ = quad(law_q.pdf, -reach, reach, points=centers_q, limit=200)
         centers_p = [n * 2 * half for n in range(-3, 4)]
-        norm_p, _ = quad(
-            lambda u: gkp_repetition_pdfs(u, sigma)[1],
-            -reach,
-            reach,
-            points=centers_p,
-            limit=200,
-        )
+        norm_p, _ = quad(law_p.pdf, -reach, reach, points=centers_p, limit=200)
         worst = max(worst, abs(norm_q - 1.0), abs(norm_p - 1.0))
     for sigma, gain in ((0.1, 4.806), (0.3, 2.0), (0.5, 1.2)):
         mix = tms_mixture(sigma, gain)

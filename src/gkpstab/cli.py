@@ -17,6 +17,7 @@ import io
 import math
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +72,8 @@ class ExperimentConfig:
             raise ValueError(f"points must be >= 2, got {self.points}")
         if self.n_trials < 1:
             raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
+        if self.shards < 1:
+            raise ValueError(f"shards must be >= 1, got {self.shards}")
         if not (math.isfinite(self.sigma_max) and 0 < self.sigma_min < self.sigma_max):
             raise ValueError(
                 f"need finite 0 < sigma_min < sigma_max, got "
@@ -116,12 +119,28 @@ class _CsvBuilder:
         return self._buf.getvalue()
 
 
-def _sample(code, sigma: float, config: ExperimentConfig):
-    """Monte Carlo of `code` at channel noise sigma, decoded for that sigma."""
-    return run(
-        code, Decoder.for_code(code, sigma), sigma, config.n_trials, config.seed,
-        config.shards,
-    )
+def _sample(points, config: ExperimentConfig) -> list:
+    """Monte Carlo of every (code, sigma) point, decoded for its sigma.
+
+    The points share one pool of at most `config.shards` threads, and the
+    reports come back in point order.  A grid of fewer points than shards
+    hands each run the spare workers for its blocks.  Every draw is a
+    function of (seed, block index) only, so no report depends on `shards`.
+    """
+    shards = max(1, config.shards // len(points))
+
+    def one(point):
+        code, sigma = point
+        return run(
+            code, Decoder.for_code(code, sigma), sigma, config.n_trials, config.seed,
+            shards, histogram=False,
+        )
+
+    workers = min(config.shards, len(points))
+    if workers == 1:
+        return [one(point) for point in points]
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(one, points))
 
 
 def cmd_fig3(config: ExperimentConfig) -> str:
@@ -139,9 +158,10 @@ def cmd_fig3(config: ExperimentConfig) -> str:
         ]
     )
     code = gkp_repetition()
-    for sigma in config.sigmas():
+    sigmas = config.sigmas()
+    reports = _sample([(code, float(sigma)) for sigma in sigmas], config)
+    for sigma, report in zip(sigmas, reports):
         std_q, std_p = gkp_repetition_stds(float(sigma))
-        report = _sample(code, float(sigma), config)
         out.row(
             [sigma, std_q, std_p, report.std_q, report.std_p,
              report.se_std_q, report.se_std_p]
@@ -199,20 +219,21 @@ def cmd_appendix_d(
     out = _CsvBuilder("gkpstab.appendix_d", config.describe())
     out.comment(f"modes={list(modes)} wrap_constant={wrap_constant:g}")
     out.row(["n", "sigma", "sigma_L_mc", "slope"])
-    for n_modes in modes:
-        sigmas = config.sigmas()
-        spreads = []
-        for sigma in sigmas:
-            lam = wrap_constant * MODULAR_PERIOD / float(sigma)
-            code = gkp_squeezed_repetition(n_modes, lam)
-            report = _sample(code, float(sigma), config)
-            spreads.append(
-                math.sqrt(0.5 * (report.std_q**2 + report.std_p**2))
-            )
-        slope = float(
-            np.polyfit(np.log(sigmas), np.log(spreads), 1)[0]
-        )
-        for sigma, spread in zip(sigmas, spreads):
+    sigmas = config.sigmas()
+    points = [
+        (gkp_squeezed_repetition(n_modes, wrap_constant * MODULAR_PERIOD / float(sigma)),
+         float(sigma))
+        for n_modes in modes
+        for sigma in sigmas
+    ]
+    reports = _sample(points, config)
+    spreads = np.reshape(
+        [math.sqrt(0.5 * (r.std_q**2 + r.std_p**2)) for r in reports],
+        (len(modes), len(sigmas)),
+    )
+    for n_modes, row in zip(modes, spreads):
+        slope = float(np.polyfit(np.log(sigmas), np.log(row), 1)[0])
+        for sigma, spread in zip(sigmas, row):
             out.row([n_modes, sigma, spread, slope])
     return out.text()
 
@@ -247,8 +268,9 @@ def cmd_sweep(
     out.row(
         ["sigma", "mean_q", "mean_p", "std_q", "std_p", "se_std_q", "se_std_p"]
     )
-    for sigma in config.sigmas():
-        report = _sample(code, float(sigma), config)
+    sigmas = config.sigmas()
+    reports = _sample([(code, float(sigma)) for sigma in sigmas], config)
+    for sigma, report in zip(sigmas, reports):
         out.row(
             [sigma, report.mean_q, report.mean_p, report.std_q, report.std_p,
              report.se_std_q, report.se_std_p]

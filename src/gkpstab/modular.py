@@ -28,10 +28,10 @@ def centered_mod(value, period: float = MODULAR_PERIOD):
     of the period) pick the n of smaller magnitude, so the result
     carries the sign of `value`.
 
-    Accepts scalars or arrays; period must be positive.
+    Accepts scalars or arrays; period must be positive and finite.
     """
-    if period <= 0:
-        raise ValueError(f"period must be positive, got {period}")
+    if not (0 < period < math.inf):
+        raise ValueError(f"period must be positive and finite, got {period}")
     v = np.atleast_1d(np.asarray(value, dtype=float))
     # n = copysign(ceil(|x| - 1/2), x), x = v / period, rounds half toward
     # zero and equals where(x >= 0, ceil(x - 1/2), floor(x + 1/2)) bit for

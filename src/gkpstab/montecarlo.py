@@ -45,9 +45,13 @@ class TrialReport:
     se_std_p: float
     se_var_q: float
     se_var_p: float
-    bin_edges: np.ndarray
-    counts_q: np.ndarray
-    counts_p: np.ndarray
+    # histogram, None when run without one; samples beyond the edges are
+    # clipped into the edge bins, and outside_* counts them
+    bin_edges: np.ndarray | None
+    counts_q: np.ndarray | None
+    counts_p: np.ndarray | None
+    outside_q: int | None
+    outside_p: int | None
 
 
 @dataclass(frozen=True)
@@ -68,20 +72,45 @@ def _moment_sums(x: np.ndarray) -> np.ndarray:
     return np.array([x.sum(), x2.sum(), (x2 * x).sum(), (x2 * x2).sum()])
 
 
+def _histogram(x, edges):
+    # bin counts, then the number of samples beyond the edges; np.histogram
+    # drops those, and adding them to the edge bins gives the counts of
+    # np.clip then np.histogram without the clipped copy
+    counts = np.histogram(x, bins=edges)[0]
+    below = np.count_nonzero(x < edges[0])
+    above = np.count_nonzero(x > edges[-1])
+    counts[0] += below
+    counts[-1] += above
+    return np.append(counts, below + above)
+
+
 def _block(code, decoder, t_inv, sigma, seed, index, count, edges):
     gen = stream_rng(seed, index)
     z = draw_normal(gen, sigma, (count, 2 * code.n_modes)) @ t_inv
     out = decoder(z, gen)
     xi_q = np.asarray(out.xi_q, dtype=float)
     xi_p = np.asarray(out.xi_p, dtype=float)
-    clip_q = np.clip(xi_q, edges[0], edges[-1])
-    clip_p = np.clip(xi_p, edges[0], edges[-1])
+    if edges is None:
+        return _moment_sums(xi_q), _moment_sums(xi_p), None, None
     return (
         _moment_sums(xi_q),
         _moment_sums(xi_p),
-        np.histogram(clip_q, bins=edges)[0],
-        np.histogram(clip_p, bins=edges)[0],
+        _histogram(xi_q, edges),
+        _histogram(xi_p, edges),
     )
+
+
+def _pilot_edges(code, decoder, t_inv, sigma, seed):
+    # histogram bins reaching six spreads of a pilot run on its own stream
+    gen = stream_rng(seed, _PILOT_STREAM)
+    pilot = draw_normal(gen, sigma, (_PILOT_TRIALS, 2 * code.n_modes)) @ t_inv
+    out = decoder(pilot, gen)
+    reach = 6.0 * max(sigma, float(np.std(out.xi_q)), float(np.std(out.xi_p)), 1e-9)
+    return np.linspace(-reach, reach, _N_BINS + 1)
+
+
+def _split(hist):
+    return (None, None) if hist is None else (hist[:-1], int(hist[-1]))
 
 
 def _summary(n, sums):
@@ -101,6 +130,7 @@ def run(
     n_trials: int,
     seed: int,
     shards: int = 1,
+    histogram: bool = True,
 ) -> TrialReport:
     """Sample the channel, reshape, decode, and summarize.
 
@@ -113,6 +143,9 @@ def run(
             block index) only, so reported numbers do not depend on
             `shards`.
         shards: worker threads used to process blocks.
+        histogram: also bin both quadratures.  Without it no pilot is
+            drawn, the histogram fields are None, and every moment field
+            keeps its bits: the pilot has a stream of its own.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be positive, got {n_trials}")
@@ -121,17 +154,7 @@ def run(
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     t_inv = inverse(code.encoder).matrix.T.copy()
-
-    pilot_gen = stream_rng(seed, _PILOT_STREAM)
-    pilot = draw_normal(pilot_gen, sigma, (_PILOT_TRIALS, 2 * code.n_modes)) @ t_inv
-    pilot_out = decoder(pilot, pilot_gen)
-    reach = 6.0 * max(
-        sigma,
-        float(np.std(pilot_out.xi_q)),
-        float(np.std(pilot_out.xi_p)),
-        1e-9,
-    )
-    edges = np.linspace(-reach, reach, _N_BINS + 1)
+    edges = _pilot_edges(code, decoder, t_inv, sigma, seed) if histogram else None
 
     starts = range(0, n_trials, BLOCK_SIZE)
     jobs = [(i, min(BLOCK_SIZE, n_trials - s)) for i, s in enumerate(starts)]
@@ -149,13 +172,18 @@ def run(
 
     sums_q = np.zeros(4)
     sums_p = np.zeros(4)
-    counts_q = np.zeros(_N_BINS, dtype=np.int64)
-    counts_p = np.zeros(_N_BINS, dtype=np.int64)
+    hist_q = hist_p = None
+    if histogram:
+        hist_q = np.zeros(_N_BINS + 1, dtype=np.int64)
+        hist_p = np.zeros(_N_BINS + 1, dtype=np.int64)
     for mq, mp, hq, hp in partials:
         sums_q += mq
         sums_p += mp
-        counts_q += hq
-        counts_p += hp
+        if histogram:
+            hist_q += hq
+            hist_p += hp
+    counts_q, outside_q = _split(hist_q)
+    counts_p, outside_p = _split(hist_p)
 
     mean_q, std_q, se_mq, se_sq, se_vq = _summary(n_trials, sums_q)
     mean_p, std_p, se_mp, se_sp, se_vp = _summary(n_trials, sums_p)
@@ -175,6 +203,8 @@ def run(
         bin_edges=edges,
         counts_q=counts_q,
         counts_p=counts_p,
+        outside_q=outside_q,
+        outside_p=outside_p,
     )
 
 
@@ -203,11 +233,14 @@ def compare(
     """Kolmogorov-Smirnov and moment agreement against a model density.
 
     `model` is either a MixturePdf or a plain density callable.  The KS
-    statistic is evaluated on the histogram grid; the default threshold
+    statistic is evaluated on the histogram grid, so the report must come
+    from a run with a histogram; the default threshold
     ks_coeff/sqrt(n) corresponds to the 1 percent level.
     """
     if quadrature not in ("q", "p"):
         raise ValueError(f"quadrature must be 'q' or 'p', got {quadrature!r}")
+    if report.bin_edges is None:
+        raise ValueError("report has no histogram to compare; run with histogram=True")
     counts = report.counts_q if quadrature == "q" else report.counts_p
     mean = report.mean_q if quadrature == "q" else report.mean_p
     std = report.std_q if quadrature == "q" else report.std_p

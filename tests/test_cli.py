@@ -62,6 +62,32 @@ def test_byte_identical_rerun():
     assert cmd_fig3(config) == cmd_fig3(sharded)
 
 
+@pytest.mark.parametrize(
+    "experiment, points",
+    [("appendix-d", 3), ("appendix-d", 2), ("sweep", 3), ("sweep", 2)],
+)
+def test_csv_identical_for_any_shard_count(experiment, points):
+    # noisy decoders draw from the block streams, so concurrent grid points
+    # must not reorder a draw; two points leave spare workers for the
+    # blocks of each run, which straddle a block boundary
+    def text(shards):
+        if experiment == "appendix-d":
+            config = ExperimentConfig(
+                experiment, sigma_min=0.01, sigma_max=0.05, points=points,
+                n_trials=70_000, seed=7, shards=shards,
+            )
+            return cmd_appendix_d(config, modes=(2, 3) if points == 3 else (2,))
+        config = ExperimentConfig(
+            experiment, sigma_min=0.05, sigma_max=0.5, points=points,
+            n_trials=70_000, seed=7, shards=shards,
+        )
+        return cmd_sweep(config, "gkp-tms", sigma_gkp=0.05)
+
+    one = text(1)
+    for shards in (2, 3, 5):
+        assert text(shards) == one
+
+
 def test_fig45_columns_and_reference_row():
     config = ExperimentConfig("fig45", sigma_min=0.1, sigma_max=0.3, points=2)
     header, rows = _rows(cmd_fig45(config))
@@ -137,6 +163,9 @@ def test_config_validation():
         ExperimentConfig("fig3", n_trials=0)
     with pytest.raises(ValueError):
         ExperimentConfig("fig3", sigma_min=0.3, sigma_max=0.1)
+    for shards in (0, -2):
+        with pytest.raises(ValueError, match=f"shards must be >= 1, got {shards}"):
+            ExperimentConfig("fig3", shards=shards)
 
 
 def test_config_rejects_non_finite_grid():

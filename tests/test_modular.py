@@ -67,6 +67,12 @@ def test_invalid_period():
         centered_mod(1.0, -1.0)
 
 
+@pytest.mark.parametrize("period", [math.nan, math.inf, -math.inf])
+def test_non_finite_period_rejected(period):
+    with pytest.raises(ValueError, match=f"got {period}"):
+        centered_mod(1.0, period)
+
+
 def test_modular_measure_ideal_matches_centered_mod():
     gen = stream_rng(5, 2)
     z = gen.uniform(-5, 5, 100)

@@ -1,17 +1,27 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from gkpstab.analytic import gkp_repetition_pdfs, tms_mixture
-from gkpstab.codes import gaussian_repetition, gkp_repetition, gkp_tms
+from gkpstab.codes import (
+    gaussian_repetition,
+    gkp_repetition,
+    gkp_squeezed_repetition,
+    gkp_tms,
+)
 from gkpstab.decoders import (
+    Decoder,
     gaussian_repetition_decoder,
     gkp_repetition_decoder,
     gkp_tms_decoder,
 )
-from gkpstab.montecarlo import BLOCK_SIZE, _moment_sums, compare, run
+from gkpstab.montecarlo import BLOCK_SIZE, TrialReport, _moment_sums, compare, run
 from gkpstab.noise import stream_rng
+from gkpstab.symplectic import inverse
+
+_HISTOGRAM_FIELDS = ("bin_edges", "counts_q", "counts_p", "outside_q", "outside_p")
 
 
 def test_deterministic_given_seed():
@@ -43,6 +53,66 @@ def test_histogram_counts_complete():
     assert rep.counts_q.sum() == 70_000
     assert rep.counts_p.sum() == 70_000
     assert rep.bin_edges[0] == -rep.bin_edges[-1]
+
+
+def test_outside_counts_equal_direct_count():
+    code, dec, sigma, seed = gkp_repetition(), gkp_repetition_decoder(), 0.45, 3
+    n = BLOCK_SIZE + 34_464
+    rep = run(code, dec, sigma, n, seed, shards=2)
+    edges = rep.bin_edges
+    t_inv = inverse(code.encoder).matrix.T
+    outside = [0, 0]
+    counts = [0, 0]
+    for index, start in enumerate(range(0, n, BLOCK_SIZE)):
+        gen = stream_rng(seed, index)
+        out = dec(gen.normal(0.0, sigma, (min(BLOCK_SIZE, n - start), 4)) @ t_inv, gen)
+        for k, xi in enumerate((out.xi_q, out.xi_p)):
+            outside[k] += int(np.count_nonzero((xi < edges[0]) | (xi > edges[-1])))
+            counts[k] += np.histogram(np.clip(xi, edges[0], edges[-1]), bins=edges)[0]
+    assert [rep.outside_q, rep.outside_p] == outside
+    assert np.array_equal(rep.counts_q, counts[0])
+    assert np.array_equal(rep.counts_p, counts[1])
+    # the wrapped momenta reach past the pilot's six spreads
+    assert rep.outside_p > 0
+
+
+@pytest.mark.parametrize(
+    "code, sigma",
+    [
+        (gkp_repetition(), 0.3),
+        (gkp_tms(4.806, 0.05), 0.1),
+        (gkp_squeezed_repetition(3, 2.0, 0.05), 0.05),
+    ],
+    ids=["gkp-rep", "gkp-tms-noisy", "squeezed-rep-noisy"],
+)
+def test_histogram_off_keeps_every_moment_bit(code, sigma):
+    dec = Decoder.for_code(code, sigma)
+    n = BLOCK_SIZE + 5_000
+    sizes = []
+
+    def counted(z, rng):
+        sizes.append(len(z))
+        return dec(z, rng)
+
+    on = run(code, dec, sigma, n, seed=17, shards=2)
+    off = run(code, counted, sigma, n, seed=17, histogram=False)
+    # the blocks alone are decoded: no pilot
+    assert sizes == [BLOCK_SIZE, 5_000]
+    for field in dataclasses.fields(TrialReport):
+        if field.name in _HISTOGRAM_FIELDS:
+            assert getattr(off, field.name) is None
+            assert getattr(on, field.name) is not None
+        else:
+            a, b = getattr(on, field.name), getattr(off, field.name)
+            assert float(a).hex() == float(b).hex(), field.name
+
+
+def test_compare_needs_a_histogram():
+    sigma, gain = 0.15, 3.0
+    rep = run(gkp_tms(gain), gkp_tms_decoder(gain, sigma), sigma, 2_000, seed=8,
+              histogram=False)
+    with pytest.raises(ValueError, match="no histogram"):
+        compare(rep, tms_mixture(sigma, gain))
 
 
 def test_known_spreads_and_errors():

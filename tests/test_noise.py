@@ -99,6 +99,16 @@ def test_gkp_sigma_from_db_rejects_non_finite(bad):
         gkp_sigma_from_db(bad)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_noise_strengths_reject_non_finite(bad):
+    with pytest.raises(ValueError, match=f"got {bad}"):
+        IidNoiseModel(sigma=bad, n_modes=2)
+    with pytest.raises(ValueError, match=f"got {bad}"):
+        gkp_sigma_from_delta(bad)
+    with pytest.raises(ValueError, match=f"got {bad}"):
+        gkp_db_from_sigma(bad)
+
+
 def test_gkp_sigma_from_delta_small_limit():
     # for small delta the variance approaches delta / 2
     delta = 1e-4
