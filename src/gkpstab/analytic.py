@@ -79,18 +79,21 @@ def cell_masses(sigma: float, n_max: int | None = None) -> tuple[np.ndarray, np.
     return ns, _masses(sigma, _cell_edges(n_max))
 
 
-def _lattice_sums(row_sums, spread, *per_gain) -> np.ndarray:
-    # row_sums(ns, edges, spread, *per_gain) sums over the cells ns = -n..n
-    # with boundaries `edges`, each per-gain value given as a column.
-    # Gains are grouped by lattice size so that each sums exactly the cells
-    # of a lone call, in the same order: padding to a common lattice would
-    # change numpy's pairwise summation and so the last bits.  Returns an
-    # array of spread's shape.
+def _lattice_sums(row_sums, spread, *per_row) -> np.ndarray:
+    # row_sums(ns, edges, spread, *per_row) sums over the cells ns = -n..n
+    # with boundaries `edges`, each per-row value given as a column; the
+    # per-row values broadcast to spread's shape.  Rows are grouped by
+    # lattice size so that each sums exactly the cells of a lone call, in
+    # the same order: padding to a common lattice would change numpy's
+    # pairwise summation and so the last bits.  Returns an array of
+    # spread's shape.
     shape = np.shape(spread)
-    spread = spread.reshape(-1)
-    columns = [v.reshape(-1, 1) for v in (spread, *per_gain)]
-    n_max = _n_max(spread)
-    out = np.empty(spread.shape)
+    columns = [
+        (v if np.shape(v) == shape else np.broadcast_to(v, shape)).reshape(-1, 1)
+        for v in (spread, *per_row)
+    ]
+    n_max = _n_max(columns[0][:, 0])
+    out = np.empty(n_max.shape)
     one_size = n_max.size <= 1 or (n_max == n_max[0]).all()
     for n in n_max[:1] if one_size else np.unique(n_max):
         rows = slice(None) if one_size else n_max == n
@@ -99,15 +102,32 @@ def _lattice_sums(row_sums, spread, *per_gain) -> np.ndarray:
     return out.reshape(shape)
 
 
-def _gains(gain):
-    # (shape, values): a 0-d gain comes back as a numpy scalar, whose
-    # arithmetic costs far less than that of a one-element array
-    g = np.asarray(gain, dtype=float)
-    flat = g.reshape(-1)
-    ok = (flat >= 1.0) & (flat < math.inf)
-    if not ok.all():
-        raise ValueError(f"gain must be finite and >= 1, got {flat[~ok][0]}")
-    return g.shape, g[()]
+_WITHIN = {
+    "positive": lambda v: v > 0.0,
+    "nonnegative": lambda v: v >= 0.0,
+    ">= 1": lambda v: v >= 1.0,
+}
+
+
+def _checked(name: str, value, kind: str):
+    # value, unchanged, once each of its elements is finite and `kind`; the
+    # error names the first element that is not
+    ok = _WITHIN[kind](value) & (value < math.inf)
+    if np.count_nonzero(ok) != np.size(ok):
+        bad = np.extract(~ok, value)[0]
+        raise ValueError(f"{name} must be finite and {kind}, got {bad}")
+    return value
+
+
+def _sigma_gain(sigma, gain, kind: str = "positive"):
+    # (shape, sigma, gain): the checked arguments and their broadcast shape.
+    # A single value comes back as numpy scalars, whose arithmetic costs
+    # far less than that of one-element arrays
+    s, g = np.asarray(sigma, dtype=float), np.asarray(gain, dtype=float)
+    shape = np.broadcast(s, g).shape
+    if s.size == 1 and g.size == 1:
+        s, g = s.reshape(-1)[0], g.reshape(-1)[0]
+    return shape, _checked("sigma", s, kind), _checked("gain", g, ">= 1")
 
 
 def _shaped(values, shape):
@@ -193,31 +213,30 @@ def _shift_sums(ns, edges, spread, step):
     return np.vecdot(_masses(spread, edges), mu * mu)
 
 
-def tms_variance(sigma: float, gain):
+def tms_variance(sigma, gain):
     """Exact logical noise variance of the two-mode squeezing code.
 
-    `gain` may be an array: the result then has its shape, and each
-    element equals the call with that gain alone, bit for bit.  A scalar
-    or 0-d gain gives a float.  At G = 1 the shifts vanish and the
-    result is exactly sigma^2.
+    `sigma` and `gain` may be arrays that broadcast together: the result
+    then has their broadcast shape, and each element equals the call with
+    that sigma and gain alone, bit for bit.  Scalar or 0-d arguments give
+    a float.  At G = 1 the shifts vanish and the result is exactly
+    sigma^2.
     """
-    _check_finite("sigma", sigma, positive=True)
-    shape, g = _gains(gain)
+    shape, sigma, g = _sigma_gain(sigma, gain)
     two_g = 2.0 * g - 1.0
     spread = np.sqrt(two_g) * sigma
     step = (2.0 * np.sqrt(g * (g - 1.0)) / two_g) * _P
     return _shaped(sigma * sigma / two_g + _lattice_sums(_shift_sums, spread, step), shape)
 
 
-def tms_variance_erfc_approx(sigma: float, gain):
+def tms_variance_erfc_approx(sigma, gain):
     """Two-term approximation keeping only the first displaced cells.
 
     Accurate to about a percent whenever the wrap probability is small;
-    handy for the closed-form optimum analysis.  Broadcasts over `gain`
-    like `tms_variance`.
+    handy for the closed-form optimum analysis.  Broadcasts `sigma`
+    against `gain` like `tms_variance`.
     """
-    _check_finite("sigma", sigma, positive=True)
-    shape, g = _gains(gain)
+    shape, sigma, g = _sigma_gain(sigma, gain)
     two_g = 2.0 * g - 1.0
     tail = erfc(math.sqrt(math.pi) / (2.0 * np.sqrt(two_g) * sigma))
     weight = 8.0 * math.pi * g * (g - 1.0) / (two_g * two_g)
@@ -255,20 +274,27 @@ def _noisy_cell_sums(ns, edges, u, u2, c, alpha, k_const):
     return np.sum(terms, axis=-1)
 
 
-def tms_variance_noisy_gkp(sigma: float, sigma_gkp: float, gain):
+def tms_variance_noisy_gkp(sigma, sigma_gkp: float, gain):
     """Logical noise variance with finitely squeezed GKP ancillas.
 
     Averages the squared MMSE residual over the joint law of the
     amplified syndrome and the GKP measurement noise.  The inner
     Gaussian average is carried out exactly, leaving per-cell moments of
-    the summed variable, which have erf closed forms.  Broadcasts over
-    `gain` like `tms_variance`.
+    the summed variable, which have erf closed forms.  Broadcasts `sigma`
+    against `gain` like `tms_variance`; a channel with sigma = 0 leaves
+    no noise.
     """
-    _check_finite("sigma", sigma)
+    shape, sigma, g = _sigma_gain(sigma, gain, "nonnegative")
     _check_finite("sigma_gkp", sigma_gkp)
-    shape, g = _gains(gain)
-    if sigma == 0.0:
-        return _shaped(np.zeros(shape), shape)
+    if np.count_nonzero(sigma) != np.size(sigma):
+        out = np.zeros(shape)
+        live = np.broadcast_to(sigma > 0, shape)
+        if live.any():
+            out[live] = tms_variance_noisy_gkp(
+                np.broadcast_to(sigma, shape)[live], sigma_gkp,
+                np.broadcast_to(g, shape)[live],
+            )
+        return _shaped(out, shape)
     two_g = 2.0 * g - 1.0
     s2 = two_g * sigma * sigma
     t2 = 2.0 * sigma_gkp * sigma_gkp
@@ -286,9 +312,11 @@ def tms_variance_noisy_gkp(sigma: float, sigma_gkp: float, gain):
     total = _lattice_sums(_noisy_cell_sums, u, u2, c, alpha, k_const)
     failed = ~np.isfinite(total)
     if failed.any():
+        at = np.flatnonzero(failed)[0]
         raise ArithmeticError(
-            f"variance evaluation failed for sigma={sigma}, sigma_gkp={sigma_gkp}, "
-            f"gain={np.extract(failed, g)[0]}"
+            f"variance evaluation failed for "
+            f"sigma={np.broadcast_to(sigma, failed.shape).flat[at]}, "
+            f"sigma_gkp={sigma_gkp}, gain={np.broadcast_to(g, failed.shape).flat[at]}"
         )
     return _shaped(total, shape)
 

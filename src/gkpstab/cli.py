@@ -170,7 +170,10 @@ def cmd_fig3(config: ExperimentConfig) -> str:
 
 
 def cmd_fig45(config: ExperimentConfig) -> str:
-    """Optimized two-mode squeezing working point across channel noise."""
+    """Optimized two-mode squeezing working point across channel noise.
+
+    The whole sigma grid is one lockstep search.
+    """
     out = _CsvBuilder("gkpstab.fig45", config.describe())
     out.row(
         [
@@ -182,27 +185,33 @@ def cmd_fig45(config: ExperimentConfig) -> str:
             "g_star_asymptotic",
         ]
     )
-    for sigma in config.sigmas():
-        opt = optimize(float(sigma))
+    sigmas = config.sigmas()
+    opt = optimize(sigmas)
+    for i, sigma in enumerate(sigmas):
         g_asym, sig_asym = tms_asymptotic_optimum(float(sigma))
         out.row(
-            [sigma, opt.g_star, opt.squeeze_db, opt.sigma_L_star, sig_asym, g_asym]
+            [sigma, opt.g_star[i], opt.squeeze_db[i], opt.sigma_L_star[i],
+             sig_asym, g_asym]
         )
     return out.text()
 
 
 def cmd_fig8(config: ExperimentConfig) -> str:
-    """Optimized QEC gain for finite GKP ancilla squeezing."""
+    """Optimized QEC gain for finite GKP ancilla squeezing.
+
+    Each curve is one lockstep search over the sigma grid.
+    """
     out = _CsvBuilder("gkpstab.fig8", config.describe())
     db_list = config.gkp_db if config.gkp_db else _FIG8_DB
+    sigmas = config.sigmas()
     for db in db_list:
         sigma_gkp = gkp_sigma_from_db(db)
         objective = "noisy_gkp" if sigma_gkp > 0 else "exact"
         out.comment(f"s_gkp_db = {_fmt(db)}")
         out.row(["sigma", "qec_gain", "g_star", "squeeze_db"])
-        for sigma in config.sigmas():
-            opt = optimize(float(sigma), sigma_gkp, objective)
-            out.row([sigma, opt.qec_gain, opt.g_star, opt.squeeze_db])
+        opt = optimize(sigmas, sigma_gkp, objective)
+        for i, sigma in enumerate(sigmas):
+            out.row([sigma, opt.qec_gain[i], opt.g_star[i], opt.squeeze_db[i]])
     return out.text()
 
 

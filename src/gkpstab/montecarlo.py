@@ -142,7 +142,8 @@ def run(
         seed: base seed; every derived stream is a function of (seed,
             block index) only, so reported numbers do not depend on
             `shards`.
-        shards: worker threads used to process blocks.
+        shards: worker threads used to process blocks, at most one per
+            block; one block runs on the calling thread.
         histogram: also bin both quadratures.  Without it no pilot is
             drawn, the histogram fields are None, and every moment field
             keeps its bits: the pilot has a stream of its own.
@@ -158,12 +159,13 @@ def run(
 
     starts = range(0, n_trials, BLOCK_SIZE)
     jobs = [(i, min(BLOCK_SIZE, n_trials - s)) for i, s in enumerate(starts)]
-    if shards == 1:
+    workers = min(shards, len(jobs))
+    if workers == 1:
         partials = [
             _block(code, decoder, t_inv, sigma, seed, i, c, edges) for i, c in jobs
         ]
     else:
-        with ThreadPoolExecutor(max_workers=shards) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_block, code, decoder, t_inv, sigma, seed, i, c, edges)
                 for i, c in jobs

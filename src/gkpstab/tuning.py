@@ -14,6 +14,8 @@ import numpy as np
 
 from .analytic import (
     _check_finite,
+    _checked,
+    _shaped,
     tms_variance,
     tms_variance_erfc_approx,
     tms_variance_noisy_gkp,
@@ -30,12 +32,17 @@ __all__ = [
 
 _OBJECTIVES = ("exact", "erfc_approx", "noisy_gkp")
 _GRID_POINTS = 256
+_SCAN_CHUNK = 10
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GainOptimum:
-    """Optimal working point of the two-mode-squeezing code."""
+    """Optimal working point of the two-mode-squeezing code.
+
+    Fields are floats for a scalar sigma, else arrays of sigma's shape;
+    compare the fields, as for the other array-carrying records.
+    """
 
     g_star: float
     lambda_star: float
@@ -52,78 +59,112 @@ def squeeze_db_from_gain(gain: float) -> float:
     return 20.0 * math.log10(lam)
 
 
-def _objective(name: str, sigma: float, sigma_gkp: float):
-    # the returned callable takes a gain or an array of gains
+def _objective(name: str, sigma_gkp: float):
+    # fun(sigma, gain), broadcasting the two; the module-level names are
+    # looked up at each call
     if name == "exact":
-        return lambda g: tms_variance(sigma, g)
+        return lambda s, g: tms_variance(s, g)
     if name == "erfc_approx":
-        return lambda g: tms_variance_erfc_approx(sigma, g)
+        return lambda s, g: tms_variance_erfc_approx(s, g)
     if name == "noisy_gkp":
-        return lambda g: tms_variance_noisy_gkp(sigma, sigma_gkp, g)
+        return lambda s, g: tms_variance_noisy_gkp(s, sigma_gkp, g)
     raise ValueError(f"objective must be one of {_OBJECTIVES}, got {name!r}")
 
 
-def _golden_min(fun, lo: float, hi: float, rel_tol: float = 1e-6) -> float:
-    # search in log space; the variance is smooth and unimodal there
-    a, b = math.log(lo), math.log(hi)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fun(math.exp(c)), fun(math.exp(d))
-    while b - a > rel_tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fun(math.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fun(math.exp(d))
-    return math.exp(0.5 * (a + b))
+def _each(fn, x) -> np.ndarray:
+    # fn per element: numpy's vector exp and log need not round as libm does
+    return np.array([fn(v) for v in x], dtype=float)
 
 
-def optimize(
-    sigma: float, sigma_gkp: float = 0.0, objective: str = "exact"
-) -> GainOptimum:
+def _grids(sigma, points: int) -> np.ndarray:
+    # one geometric gain grid per sigma, from G = 1 to where the amplified
+    # noise spans a measurement cell
+    top = np.maximum(2.0, math.pi / (2.0 * sigma * sigma))
+    return np.geomspace(1.0, top, points, axis=-1)
+
+
+def _golden_min(fun, sigma, lo, hi, rel_tol: float = 1e-6) -> np.ndarray:
+    # one golden-section search per sigma, in log space where the variance
+    # is smooth and unimodal.  The searches run in lockstep, with one
+    # objective call per step over the sigmas still searching.  Each keeps
+    # its bracket in Python floats, as a lone search does, so it evaluates
+    # exactly the gains of a lone search; for the few dozen sigmas of a
+    # curve that also beats numpy's per-call overhead
+    a, b = [math.log(x) for x in lo], [math.log(x) for x in hi]
+    c = [y - _INVPHI * (y - x) for x, y in zip(a, b)]
+    d = [x + _INVPHI * (y - x) for x, y in zip(a, b)]
+    fc = fun(sigma, _each(math.exp, c)).tolist()
+    fd = fun(sigma, _each(math.exp, d)).tolist()
+    live = [i for i in range(len(a)) if b[i] - a[i] > rel_tol]
+    searching = sigma[live]
+    while live:
+        left = [fc[i] < fd[i] for i in live]
+        probes = []
+        for i, go_left in zip(live, left):
+            if go_left:
+                b[i], d[i], fd[i] = d[i], c[i], fc[i]
+                c[i] = b[i] - _INVPHI * (b[i] - a[i])
+                probes.append(c[i])
+            else:
+                a[i], c[i], fc[i] = c[i], d[i], fd[i]
+                d[i] = a[i] + _INVPHI * (b[i] - a[i])
+                probes.append(d[i])
+        values = fun(searching, _each(math.exp, probes)).tolist()
+        for i, go_left, value in zip(live, left, values):
+            if go_left:
+                fc[i] = value
+            else:
+                fd[i] = value
+        still = [i for i in live if b[i] - a[i] > rel_tol]
+        if len(still) < len(live):
+            searching = sigma[still]
+        live = still
+    return _each(math.exp, [0.5 * (x + y) for x, y in zip(a, b)])
+
+
+def optimize(sigma, sigma_gkp: float = 0.0, objective: str = "exact") -> GainOptimum:
     """Minimize the output variance over the gain.
 
     A coarse geometric grid brackets the minimum and a golden-section
     refinement polishes it.  When no gain beats the bare channel the
-    result is clamped to G = 1 (no encoding).
+    result is clamped to G = 1 (no encoding).  `sigma` may be an array:
+    every sigma is searched in lockstep, and each gives the fields of its
+    lone search bit for bit.
     """
-    _check_finite("sigma", sigma, positive=True)
+    sig = _checked("sigma", np.asarray(sigma, dtype=float), "positive")
     _check_finite("sigma_gkp", sigma_gkp)
-    fun = _objective(objective, sigma, sigma_gkp)
+    fun = _objective(objective, sigma_gkp)
+    shape, sig = sig.shape, sig.reshape(-1)
 
-    top = max(2.0, math.pi / (2.0 * sigma * sigma))
-    grid = np.geomspace(1.0, top, _GRID_POINTS)
-    values = fun(grid)
-    k = int(np.argmin(values))
-    if k == 0:
-        g_star = 1.0 if values[0] <= fun(1.0 + 1e-9) else _golden_min(
-            fun, 1.0 + 1e-12, grid[1]
-        )
-    else:
-        hi = grid[min(k + 1, _GRID_POINTS - 1)]
-        g_star = _golden_min(fun, grid[k - 1], hi)
-    var = fun(g_star)
+    grids = _grids(sig, _GRID_POINTS)
+    values = fun(sig[:, None], grids)
+    k = np.argmin(values, axis=-1)
+    rows = np.arange(sig.size)
+    lo = np.where(k == 0, 1.0 + 1e-12, grids[rows, k - 1])
+    hi = grids[rows, np.minimum(k + 1, _GRID_POINTS - 1)]
+    search = k > 0
+    edge = np.flatnonzero(k == 0)
+    if edge.size:
+        # the minimum sits at G = 1 unless a slightly larger gain does better
+        nudged = fun(sig[edge], np.full(edge.size, 1.0 + 1e-9))
+        search[edge] = values[edge, 0] > nudged
+    g_star = np.ones(sig.size)
+    if search.any():
+        g_star[search] = _golden_min(fun, sig[search], lo[search], hi[search])
+    var = fun(sig, g_star)
 
-    bare = sigma * sigma
-    if var >= bare or g_star <= 1.0 + 1e-9:
-        return GainOptimum(
-            g_star=1.0,
-            lambda_star=1.0,
-            squeeze_db=0.0,
-            sigma_L_star=sigma,
-            qec_gain=1.0,
-        )
-    lam = math.sqrt(g_star) + math.sqrt(g_star - 1.0)
-    return GainOptimum(
-        g_star=g_star,
-        lambda_star=lam,
-        squeeze_db=20.0 * math.log10(lam),
-        sigma_L_star=math.sqrt(var),
-        qec_gain=bare / var,
+    bare = sig * sig
+    clamped = (var >= bare) | (g_star <= 1.0 + 1e-9)
+    g_star = np.where(clamped, 1.0, g_star)
+    lam = np.sqrt(g_star) + np.sqrt(g_star - 1.0)
+    fields = (
+        g_star,
+        lam,
+        20.0 * _each(math.log10, lam),
+        np.where(clamped, sig, np.sqrt(var)),
+        np.where(clamped, 1.0, bare / var),
     )
+    return GainOptimum(*(_shaped(f, shape) for f in fields))
 
 
 def _is_unclamped(sigma: float, sigma_gkp: float, objective: str) -> bool:
@@ -139,17 +180,19 @@ def threshold_sigma(sigma_gkp: float = 0.0, tol: float = 1e-4):
     _check_finite("sigma_gkp", sigma_gkp)
     _check_finite("tol", tol, positive=True)
     objective = "noisy_gkp" if sigma_gkp > 0 else "exact"
+    # the scan searches a chunk of sigmas at a time in lockstep and stops
+    # at the first chunk where encoding helps: one search of all 76 would
+    # pay for the sigmas below the threshold too
     scan = np.linspace(0.8, 0.05, 76)
-    above = scan[0]
-    below = None
-    for s in scan:
-        if _is_unclamped(float(s), sigma_gkp, objective):
-            below = float(s)
+    for start in range(0, scan.size, _SCAN_CHUNK):
+        chunk = scan[start:start + _SCAN_CHUNK]
+        helps = optimize(chunk, sigma_gkp, objective).g_star > 1.0
+        if helps.any():
+            first = start + int(np.argmax(helps))
             break
-        above = float(s)
-    if below is None:
+    else:
         return None
-    lo, hi = below, above
+    lo, hi = float(scan[first]), float(scan[max(first - 1, 0)])
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if _is_unclamped(mid, sigma_gkp, objective):
@@ -163,18 +206,12 @@ def _any_window(sigma_gkp: float) -> bool:
     sigmas = np.unique(
         np.concatenate([np.geomspace(0.05, 0.6, 48), np.linspace(0.25, 0.45, 41)])
     )
-    ratios = []
-    for s in sigmas:
-        fun = _objective("noisy_gkp", float(s), sigma_gkp)
-        grid = np.geomspace(1.0, max(2.0, math.pi / (2.0 * s * s)), 128)
-        ratio = fun(grid).min() / (s * s)
-        if ratio < 1.0 - 1e-6:
-            return True
-        ratios.append((ratio, float(s)))
-    ratios.sort()
-    return any(
-        _is_unclamped(s, sigma_gkp, "noisy_gkp") for _, s in ratios[:5]
-    )
+    fun = _objective("noisy_gkp", sigma_gkp)
+    ratios = fun(sigmas[:, None], _grids(sigmas, 128)).min(axis=-1) / (sigmas * sigmas)
+    if (ratios < 1.0 - 1e-6).any():
+        return True
+    best = sigmas[np.argsort(ratios, kind="stable")[:5]]
+    return bool((optimize(best, sigma_gkp, "noisy_gkp").g_star > 1.0).any())
 
 
 def critical_gkp_squeezing_db(tol_db: float = 0.01) -> float:

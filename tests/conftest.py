@@ -1,6 +1,12 @@
-"""Shared fixtures and the acceptance-criteria summary hook."""
+"""Shared fixtures, the hypothesis profile and the acceptance-criteria summary hook."""
 
 import pytest
+from hypothesis import settings
+
+# property tests call numerical kernels whose first calls (imports, caches)
+# are slow and whose timings vary on shared hosts; no example has a deadline
+settings.register_profile("gkpstab", deadline=None)
+settings.load_profile("gkpstab")
 
 _CRITERIA = []
 

@@ -257,7 +257,7 @@ _VARIANCES = {
 
 
 @pytest.mark.parametrize("name", sorted(_VARIANCES))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     sigma=st.floats(0.005, 0.9),
     sigma_gkp=st.floats(0.0, 0.3),
@@ -276,7 +276,7 @@ def test_gain_array_equals_scalar_calls_bitwise(name, sigma, sigma_gkp, fraction
     assert got.tobytes() == want.tobytes()
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.floats(0.005, 0.9), st.lists(st.floats(0.0, 1.0), max_size=20))
 def test_tms_variance_equals_one_dimensional_sum_bitwise(sigma, fractions):
     # reference: the lone-gain form sigma^2 / (2G - 1) + w @ (mu * mu) over
@@ -311,6 +311,85 @@ def test_gain_array_shape_contract(name):
         assert f(0.2, 0.05, np.ones(shape)).shape == shape
 
 
+@pytest.mark.parametrize("name", sorted(_VARIANCES))
+@settings(max_examples=30)
+@given(
+    sigmas=st.lists(st.floats(0.005, 0.9), min_size=1, max_size=6),
+    sigma_gkp=st.sampled_from([0.0, 0.0125, 0.05]),
+    fractions=st.lists(st.floats(0.0, 1.0), max_size=6),
+)
+def test_sigma_array_equals_lone_calls_bytewise(name, sigmas, sigma_gkp, fractions):
+    # a column of sigmas against a row of gains per sigma, from G = 1 to
+    # the top of the optimiser's grid: every pair is a lone call
+    s = np.array(sigmas)[:, None]
+    top = np.maximum(2.0, math.pi / (2.0 * s * s))
+    gains = np.hstack([np.ones_like(s), top, 1.0 + (top - 1.0) * np.array([fractions])])
+    assert len(set(_n_max(np.sqrt(2.0 * gains - 1.0) * s).ravel())) > 1
+    f = _VARIANCES[name]
+    want = np.array(
+        [[f(float(si), sigma_gkp, float(g)) for g in row] for si, row in zip(s[:, 0], gains)]
+    )
+    got = f(s, sigma_gkp, gains)
+    assert got.shape == gains.shape
+    assert got.tobytes() == want.tobytes()
+    # one gain per sigma, as each step of the lockstep search asks
+    assert f(s[:, 0], sigma_gkp, gains[:, 1]).tobytes() == want[:, 1].tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_VARIANCES))
+def test_sigma_array_shape_contract(name):
+    f = _VARIANCES[name]
+    out = f(np.array([[0.1], [0.3]]), 0.05, np.array([1.5, 2.0, 3.0]))
+    assert out.shape == (2, 3)
+    assert out[1, 0] == f(0.3, 0.05, 1.5)
+    assert type(f(np.array(0.3), 0.05, 2.0)) is float
+    one = f(np.array([0.3]), 0.05, 2.0)
+    assert isinstance(one, np.ndarray) and one.shape == (1,)
+    assert one[0] == f(0.3, 0.05, 2.0)
+    for shape in ((0,), (2, 0)):
+        assert f(np.full(shape, 0.2), 0.05, 2.0).shape == shape
+        assert f(np.full(shape, 0.2), 0.05, np.ones(shape)).shape == shape
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+def test_sigma_arrays_name_their_first_bad_element(bad):
+    # the second bad element, -1.0, is never the one named
+    sigmas = np.array([[0.1, bad], [0.2, -1.0]])
+    for name in ("exact", "erfc_approx"):
+        with pytest.raises(ValueError, match=f"^sigma must be finite and positive, got {bad}$"):
+            _VARIANCES[name](sigmas, 0.05, 2.0)
+    if bad == 0.0:
+        # a noiseless channel is valid here, so the message names -1.0
+        bad = -1.0
+    with pytest.raises(ValueError, match=f"^sigma must be finite and nonnegative, got {bad}$"):
+        tms_variance_noisy_gkp(sigmas, 0.05, np.array([2.0, 3.0]))
+
+
+def test_noisy_sigma_array_with_noiseless_rows():
+    sigmas = np.array([0.0, 0.2, 0.0, 0.4])
+    gains = np.array([[2.0], [5.0]])
+    out = tms_variance_noisy_gkp(sigmas, 0.0, gains)
+    assert out.shape == (2, 4)
+    for (i, j), value in np.ndenumerate(out):
+        assert value == tms_variance_noisy_gkp(float(sigmas[j]), 0.0, float(gains[i, 0]))
+    assert not out[:, [0, 2]].any()
+
+
+def test_noisy_failure_names_the_row_sigma(monkeypatch):
+    import gkpstab.analytic as analytic
+
+    sums = analytic._noisy_cell_sums
+
+    def poisoned(ns, edges, u, *rest):
+        # the row of sigma = 0.3 alone has a spread above 0.5 at G = 2
+        out = sums(ns, edges, u, *rest)
+        return np.where(u[:, 0] > 0.5, np.nan, out)
+
+    monkeypatch.setattr(analytic, "_noisy_cell_sums", poisoned)
+    with pytest.raises(ArithmeticError, match=r"sigma=0\.3, sigma_gkp=0\.05, gain=2\.0$"):
+        tms_variance_noisy_gkp(np.array([0.1, 0.3, 0.2]), 0.05, 2.0)
+
+
 def test_noiseless_channel_gives_zero_of_gain_shape():
     assert tms_variance_noisy_gkp(0.0, 0.1, 2.0) == 0.0
     assert np.array_equal(tms_variance_noisy_gkp(0.0, 0.1, np.ones((2, 3))), np.zeros((2, 3)))
@@ -337,7 +416,6 @@ def test_variances_reject_non_finite_input(bad):
             call()
 
 
-@settings(deadline=None)
 @given(st.floats(1e-3, 3.0))
 def test_cell_masses_exactly_symmetric_and_normalised(sigma):
     # sigma covers the spreads the variances use, sigma up to sqrt(2G - 1)

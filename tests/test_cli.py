@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from gkpstab.analytic import tms_asymptotic_optimum
 from gkpstab.checks import check_symplectic_randomized, run_all_checks
 from gkpstab.cli import (
     SWEEP_CODES,
     ExperimentConfig,
+    _fmt,
     cmd_appendix_d,
     cmd_fig3,
     cmd_fig45,
@@ -14,6 +16,7 @@ from gkpstab.cli import (
     cmd_sweep,
     main,
 )
+from gkpstab.noise import gkp_sigma_from_db
 from gkpstab.symplectic import SymplecticTransform
 from gkpstab.tuning import optimize
 
@@ -119,6 +122,37 @@ def test_fig8_blocks_and_ideal_limit():
     for row in ideal_rows:
         sigma, qec_gain = float(row[0]), float(row[1])
         assert qec_gain == pytest.approx(optimize(sigma).qec_gain, rel=1e-9)
+
+
+def test_batched_curves_match_lone_searches(capsys):
+    # every curve is one search over its sigma grid; each row must be the
+    # row its own lone search gives, in grid order
+    def data_lines(argv):
+        main(argv)
+        return capsys.readouterr().out.split("\r\n")[2:-1]
+
+    def line(values):
+        return ",".join(_fmt(v) for v in values)
+
+    sigmas = np.geomspace(0.02, 0.6, 5)
+    want = ["sigma,g_star,squeeze_db,sigma_L_star,sigma_L_asymptotic,g_star_asymptotic"]
+    for sigma in sigmas:
+        opt = optimize(float(sigma))
+        g_asym, sig_asym = tms_asymptotic_optimum(float(sigma))
+        want.append(line([sigma, opt.g_star, opt.squeeze_db, opt.sigma_L_star,
+                          sig_asym, g_asym]))
+    assert data_lines(["fig45", "--points", "5", "--log"]) == want
+
+    sigmas = np.linspace(0.05, 0.6, 4)
+    want = []
+    for db, sigma_gkp, objective in ((11.0, gkp_sigma_from_db(11.0), "noisy_gkp"),
+                                     (math.inf, 0.0, "exact")):
+        want += [f"# s_gkp_db = {_fmt(db)}", "sigma,qec_gain,g_star,squeeze_db"]
+        for sigma in sigmas:
+            opt = optimize(float(sigma), sigma_gkp, objective)
+            want.append(line([sigma, opt.qec_gain, opt.g_star, opt.squeeze_db]))
+    argv = ["fig8", "--points", "4", "--gkp-db", "11", "--gkp-db", "inf"]
+    assert data_lines(argv) == want
 
 
 def test_appendix_d_slopes():

@@ -119,7 +119,7 @@ _values = hnp.arrays(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_values, _periods)
 def test_bitwise_equal_to_reference_formula(values, period):
     # 0-d input comes back as a float, which asarray turns into shape ()
@@ -128,7 +128,6 @@ def test_bitwise_equal_to_reference_formula(values, period):
     assert got.tobytes() == _reference_centered_mod(values, period).tobytes()
 
 
-@settings(deadline=None)
 @given(st.floats(-1e6, 1e6), _periods)
 def test_result_within_half_period(value, period):
     # v - n * period rounds to within a few ulp of max(|v|, period)
@@ -136,7 +135,6 @@ def test_result_within_half_period(value, period):
     assert abs(centered_mod(value, period)) <= period / 2 + slack
 
 
-@settings(deadline=None)
 @given(st.integers(-(10**6), 10**6), st.integers(1, 1000))
 def test_ties_at_odd_half_multiples_keep_sign(k, period):
     # (2k + 1) * period / 2 and its quotient by period are exact in double
@@ -144,7 +142,6 @@ def test_ties_at_odd_half_multiples_keep_sign(k, period):
     assert centered_mod(value, float(period)) == math.copysign(period / 2, value)
 
 
-@settings(deadline=None)
 @given(st.floats(-0.49, 0.49), st.integers(-1000, 1000), _periods)
 def test_periodic_in_whole_periods(frac, k, period):
     # values kept off the ties, where one rounding may pick either side
@@ -153,7 +150,6 @@ def test_periodic_in_whole_periods(frac, k, period):
     assert shifted == pytest.approx(value, abs=1e-12 * (abs(k) + 1) * period)
 
 
-@settings(deadline=None)
 @given(_values, st.floats(1e-6, 1.0), st.integers(0, 2**32))
 def test_noisy_measure_equals_generator_normal_bitwise(values, sigma_gkp, seed):
     # the reference is the plain form: value plus a Generator.normal draw

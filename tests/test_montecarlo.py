@@ -48,6 +48,31 @@ def test_shard_count_never_changes_results():
     assert np.array_equal(one.counts_p, four.counts_p)
 
 
+def test_pool_bounded_by_block_count(monkeypatch):
+    import gkpstab.montecarlo as montecarlo
+
+    built = []
+    pool_type = montecarlo.ThreadPoolExecutor
+
+    def recording(max_workers):
+        built.append(max_workers)
+        return pool_type(max_workers=max_workers)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", recording)
+    code, dec = gkp_repetition(), gkp_repetition_decoder()
+    for n, workers in ((BLOCK_SIZE, []), (BLOCK_SIZE + 1, [2])):
+        built.clear()
+        many = run(code, dec, 0.3, n, seed=4, shards=8)
+        assert built == workers
+        one = run(code, dec, 0.3, n, seed=4, shards=1)
+        for field in dataclasses.fields(TrialReport):
+            a, b = getattr(many, field.name), getattr(one, field.name)
+            if field.name in _HISTOGRAM_FIELDS:
+                assert np.array_equal(a, b), field.name
+            else:
+                assert float(a).hex() == float(b).hex(), field.name
+
+
 def test_histogram_counts_complete():
     rep = run(gkp_repetition(), gkp_repetition_decoder(), 0.4, 70_000, seed=2)
     assert rep.counts_q.sum() == 70_000

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -119,7 +119,6 @@ def test_gkp_sigma_from_delta_small_limit():
     assert big > small > 0
 
 
-@settings(deadline=None)
 @given(
     st.floats(0.0, 10.0),
     st.integers(0, 2**32),

@@ -186,7 +186,7 @@ def _rounding_bound(a, b):
     return 1e-13 * max(1.0, float((np.abs(a) @ np.abs(b)).max()))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(_pairs)
 def test_inverse_of_product_reverses_the_inverses(pair):
     a, b = pair
@@ -195,7 +195,7 @@ def test_inverse_of_product_reverses_the_inverses(pair):
     assert np.abs(lhs - rhs).max() <= _rounding_bound(a.matrix, b.matrix)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(_pairs)
 def test_product_times_its_inverse_is_identity(pair):
     s = compose(*pair)
@@ -204,7 +204,7 @@ def test_product_times_its_inverse_is_identity(pair):
     assert np.abs(compose(s, s_inv).matrix - eye).max() <= _rounding_bound(s.matrix, s_inv.matrix)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(_pairs)
 def test_random_products_are_symplectic(pair):
     s = compose(*pair).matrix
