@@ -14,7 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf, erfc, ndtr
 
+from .codes import CodeSpec, gkp_repetition, gkp_tms
+from .decoders import Decoder
 from .modular import MODULAR_PERIOD
+from .symplectic import inverse
 
 __all__ = [
     "gaussian_pdf",
@@ -27,6 +30,7 @@ __all__ = [
     "tms_variance_noisy_gkp",
     "gkp_repetition_pdfs",
     "gkp_repetition_stds",
+    "single_read_laws",
 ]
 
 _P = MODULAR_PERIOD
@@ -184,26 +188,59 @@ class MixturePdf:
         return float(second - m * m)
 
 
+def single_read_laws(code: CodeSpec, sigma: float) -> tuple[MixturePdf, MixturePdf]:
+    """Logical (position, momentum) noise laws of a code whose decoder
+    corrects each data quadrature with at most one read, at channel noise
+    sigma.
+
+    Let d and a be the rows of S^{-1} of the data quadrature and of its
+    read, c the decoder weight (`Decoder.for_code`) and eta the read's
+    ancilla noise, of variance 2 sigma_gkp^2.  The output
+    d - c (a + eta) + c sqrt(2 pi) n is a Gaussian residual of variance
+    k = Var d - c Cov(d, a), independent of the read for the MMSE weight
+    c, plus the shift of the cell n that the read landed in, whose spread
+    is sqrt(Var a + 2 sigma_gkp^2).  The variance is therefore
+    k + sum_n w_n (c sqrt(2 pi) n)^2.  A quadrature without a read, or
+    with an exact read, is Gaussian.  Raises ValueError for a decoder
+    with feed-forward or with two reads for one data quadrature.
+    """
+    _check_finite("sigma", sigma, positive=True)
+    dec = Decoder.for_code(code, sigma)
+    if any(read.feed_forward for read in dec.reads):
+        raise ValueError("single_read_laws needs a decoder without feed-forward")
+    t = inverse(code.encoder).matrix
+    t2 = 2.0 * dec.sigma_gkp * dec.sigma_gkp
+    laws = []
+    for data, weights in ((t[0], dec.c_q), (t[1], dec.c_p)):
+        used = np.flatnonzero(weights)
+        if used.size > 1:
+            raise ValueError("single_read_laws needs at most one read per data quadrature")
+        c = weights[used[0]] if used.size else 0.0
+        read = t[dec.reads[used[0]].column] if used.size else np.zeros_like(data)
+        # Var(d - c a) + c^2 Var(eta), which equals Var d - c Cov(d, a) for
+        # the MMSE weight c without its cancellation at large gain
+        residual = data - c * read
+        base = math.sqrt(sigma * sigma * (residual @ residual) + c * c * t2)
+        if c == 0.0 or dec.exact:
+            laws.append(MixturePdf(np.ones(1), np.zeros(1), base))
+            continue
+        ns, w = cell_masses(math.sqrt(sigma * sigma * (read @ read) + t2))
+        laws.append(MixturePdf(w, c * _P * ns, base))
+    return laws[0], laws[1]
+
+
 def tms_mixture(sigma: float, gain: float) -> MixturePdf:
     """Logical noise distribution of the two-mode squeezing code.
 
     Both quadratures follow the same law: a Gaussian of width
     sigma/sqrt(2G-1) displaced to mu_n = 2 sqrt(G(G-1))/(2G-1) *
     sqrt(2 pi) n with probability given by the cell masses of the
-    amplified syndrome.
+    amplified syndrome (`single_read_laws` of `codes.gkp_tms(gain)`).
     """
     _check_finite("sigma", sigma, positive=True)
     if not (math.isfinite(gain) and gain >= 1.0):
         raise ValueError(f"gain must be finite and >= 1, got {gain}")
-    if gain == 1.0:
-        return MixturePdf(np.array([1.0]), np.array([0.0]), sigma)
-    spread = math.sqrt(2.0 * gain - 1.0) * sigma
-    ns, w = cell_masses(spread)
-    keep = w >= 1e-16
-    keep[ns == 0] = True
-    ns, w = ns[keep], w[keep]
-    mu = (2.0 * math.sqrt(gain * (gain - 1.0)) / (2.0 * gain - 1.0)) * _P * ns
-    return MixturePdf(w, mu, sigma / math.sqrt(2.0 * gain - 1.0))
+    return single_read_laws(gkp_tms(gain), sigma)[0]
 
 
 def _shift_sums(ns, edges, spread, step):
@@ -211,6 +248,34 @@ def _shift_sums(ns, edges, spread, step):
     # bit as the 1-d w @ (mu * mu) does, where einsum and sum(-1) do not
     mu = step * ns
     return np.vecdot(_masses(spread, edges), mu * mu)
+
+
+def _tms_lattice(sigma, g, sigma_gkp: float):
+    # the variance of either quadrature of the two-mode squeezing code as
+    # k + sum_n w_n (step n)^2.  With w = 2 sqrt(G(G-1)) / (2G - 1) and
+    # q = 2 sigma_gkp^2 / ((2G - 1) sigma^2), the ancilla noise relative to
+    # the amplified syndrome's, k = sigma^2 / (2G - 1) + w^2 2 sigma_gkp^2
+    # / (1 + q), step = w sqrt(2 pi) / (1 + q) and spread = sqrt(2G - 1)
+    # sigma sqrt(1 + q).  At sigma_gkp = 0 every factor of 1 + q is exactly
+    # one, so an ideal ancilla keeps the bits of the ideal form
+    two_g = 2.0 * g - 1.0
+    w = 2.0 * np.sqrt(g * (g - 1.0)) / two_g
+    t2 = 2.0 * sigma_gkp * sigma_gkp
+    # divided in turn, so that q is 0 at sigma_gkp = 0 even where sigma^2
+    # underflows
+    q1 = 1.0 + t2 / two_g / sigma / sigma
+    k = sigma * sigma / two_g + w * w * t2 / q1
+    spread = np.sqrt(two_g) * sigma * np.sqrt(q1)
+    total = k + _lattice_sums(_shift_sums, spread, w * _P / q1)
+    failed = ~np.isfinite(total)
+    if failed.any():
+        at = np.flatnonzero(failed)[0]
+        raise ArithmeticError(
+            f"variance evaluation failed for "
+            f"sigma={np.broadcast_to(sigma, failed.shape).flat[at]}, "
+            f"sigma_gkp={sigma_gkp}, gain={np.broadcast_to(g, failed.shape).flat[at]}"
+        )
+    return total
 
 
 def tms_variance(sigma, gain):
@@ -223,10 +288,7 @@ def tms_variance(sigma, gain):
     sigma^2.
     """
     shape, sigma, g = _sigma_gain(sigma, gain)
-    two_g = 2.0 * g - 1.0
-    spread = np.sqrt(two_g) * sigma
-    step = (2.0 * np.sqrt(g * (g - 1.0)) / two_g) * _P
-    return _shaped(sigma * sigma / two_g + _lattice_sums(_shift_sums, spread, step), shape)
+    return _shaped(_tms_lattice(sigma, g, 0.0), shape)
 
 
 def tms_variance_erfc_approx(sigma, gain):
@@ -258,31 +320,16 @@ def tms_asymptotic_optimum(sigma: float) -> tuple[float, float]:
     return gain, sigma_l
 
 
-def _noisy_cell_sums(ns, edges, u, u2, c, alpha, k_const):
-    # per-cell moments m0, m1, m2 of the summed variable (spread u), from
-    # its distribution function and density at the cell boundaries,
-    # weighted by the squared residual's coefficients; np.sum along each
-    # row reduces as it does for a lone 1-d call
-    beta = c * _P * ns
-    phi = gaussian_pdf(edges, u)
-    x_phi = edges * phi
-    cdf = ndtr(edges / u)
-    m0 = cdf[:, 1:] - cdf[:, :-1]
-    m1 = u2 * (phi[:, :-1] - phi[:, 1:])
-    m2 = u2 * m0 - u2 * (x_phi[:, 1:] - x_phi[:, :-1])
-    terms = (k_const + beta * beta) * m0 + alpha * alpha * m2 - 2.0 * alpha * beta * m1
-    return np.sum(terms, axis=-1)
-
-
 def tms_variance_noisy_gkp(sigma, sigma_gkp: float, gain):
     """Logical noise variance with finitely squeezed GKP ancillas.
 
-    Averages the squared MMSE residual over the joint law of the
-    amplified syndrome and the GKP measurement noise.  The inner
-    Gaussian average is carried out exactly, leaving per-cell moments of
-    the summed variable, which have erf closed forms.  Broadcasts `sigma`
-    against `gain` like `tms_variance`; a channel with sigma = 0 leaves
-    no noise.
+    The MMSE residual is independent of the cell that the noisy syndrome
+    lands in, so this is the lattice sum of `tms_variance` over the cells
+    of the syndrome plus ancilla noise, with the shifts scaled by the
+    decoder weight and the residual widened by the ancilla noise; at
+    sigma_gkp = 0 it equals `tms_variance` bit for bit.  Broadcasts
+    `sigma` against `gain` like `tms_variance`; a channel with sigma = 0
+    leaves no noise.
     """
     shape, sigma, g = _sigma_gain(sigma, gain, "nonnegative")
     _check_finite("sigma_gkp", sigma_gkp)
@@ -295,41 +342,7 @@ def tms_variance_noisy_gkp(sigma, sigma_gkp: float, gain):
                 np.broadcast_to(g, shape)[live],
             )
         return _shaped(out, shape)
-    two_g = 2.0 * g - 1.0
-    s2 = two_g * sigma * sigma
-    t2 = 2.0 * sigma_gkp * sigma_gkp
-    a_const = sigma * sigma / two_g
-    u2 = s2 + t2
-    root = 2.0 * np.sqrt(g * (g - 1.0))
-    c = root * sigma * sigma / u2
-    d = root * 2.0 * sigma_gkp * sigma_gkp / (two_g * u2)
-    u = np.sqrt(u2)
-    rho = s2 / u2
-    tau2 = s2 * t2 / u2
-    w = c + d
-    alpha = c - w * rho
-    k_const = a_const + w * w * tau2
-    total = _lattice_sums(_noisy_cell_sums, u, u2, c, alpha, k_const)
-    failed = ~np.isfinite(total)
-    if failed.any():
-        at = np.flatnonzero(failed)[0]
-        raise ArithmeticError(
-            f"variance evaluation failed for "
-            f"sigma={np.broadcast_to(sigma, failed.shape).flat[at]}, "
-            f"sigma_gkp={sigma_gkp}, gain={np.broadcast_to(g, failed.shape).flat[at]}"
-        )
-    return _shaped(total, shape)
-
-
-def _gkp_repetition_laws(sigma: float) -> tuple[MixturePdf, MixturePdf]:
-    # position: the mean of the two position noises, shifted half a period
-    # per wrap of their difference; momentum: a full period per wrap
-    ns_q, w_q = cell_masses(math.sqrt(2.0) * sigma)
-    ns_p, w_p = cell_masses(sigma)
-    return (
-        MixturePdf(w_q, 0.5 * _P * ns_q, sigma / math.sqrt(2.0)),
-        MixturePdf(w_p, _P * ns_p, sigma),
-    )
+    return _shaped(_tms_lattice(sigma, g, sigma_gkp), shape)
 
 
 def gkp_repetition_pdfs(xi, sigma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -343,7 +356,7 @@ def gkp_repetition_pdfs(xi, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     the paper's logical spreads sigma/sqrt(2) and sigma.  The outer
     pieces are syndromes that wrapped into a neighbouring cell.
     """
-    return tuple(law.pdf(xi) for law in _gkp_repetition_laws(sigma))
+    return tuple(law.pdf(xi) for law in single_read_laws(gkp_repetition(), sigma))
 
 
 def gkp_repetition_stds(sigma: float) -> tuple[float, float]:
@@ -363,5 +376,5 @@ def gkp_repetition_stds(sigma: float) -> tuple[float, float]:
     2 pi erfc(sqrt(2 pi) / (2 sqrt(2) sigma)) to var_p; in sigma_q that is
     +5.3% at sigma = 0.3 and +0.04% at sigma = 0.2.
     """
-    law_q, law_p = _gkp_repetition_laws(sigma)
+    law_q, law_p = single_read_laws(gkp_repetition(), sigma)
     return math.sqrt(law_q.variance()), math.sqrt(law_p.variance())

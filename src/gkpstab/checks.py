@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .analytic import _gkp_repetition_laws, tms_mixture
+from .analytic import single_read_laws, tms_mixture
 from .codes import gaussian_repetition, gkp_repetition, gkp_tms
 from .decoders import Decoder
 from .noise import stream_rng
@@ -174,7 +174,7 @@ def check_pdf_normalization(tol: float = 1e-6) -> CheckResult:
     for sigma in (0.1, 0.3, 0.5):
         half = math.sqrt(math.pi / 2.0)
         reach = 4 * half + 8 * sigma
-        law_q, law_p = _gkp_repetition_laws(sigma)
+        law_q, law_p = single_read_laws(gkp_repetition(), sigma)
         centers_q = [n * half for n in range(-4, 5)]
         norm_q, _ = quad(law_q.pdf, -reach, reach, points=centers_q, limit=200)
         centers_p = [n * 2 * half for n in range(-3, 4)]

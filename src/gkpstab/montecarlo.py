@@ -13,7 +13,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .analytic import MixturePdf
 from .codes import CodeSpec
@@ -210,35 +209,21 @@ def run(
     )
 
 
-def _model_cdf_moments(model, edges):
-    if isinstance(model, MixturePdf):
-        return model.cdf(edges), model.mean(), model.variance()
-    # generic density: build the cdf at the bin edges numerically
-    left_tail, _ = quad(model, -np.inf, edges[0])
-    fine = np.linspace(edges[0], edges[-1], 16 * (len(edges) - 1) + 1)
-    dens = np.array([float(model(u)) for u in fine])
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(fine))])
-    cdf = left_tail + cum[::16]
-    lo, hi = float(edges[0]) - 1.0, float(edges[-1]) + 1.0
-    mean, _ = quad(lambda u: u * model(u), lo, hi, limit=200)
-    second, _ = quad(lambda u: u * u * model(u), lo, hi, limit=200)
-    return cdf, mean, second - mean * mean
-
-
 def compare(
     report: TrialReport,
-    model,
+    model: MixturePdf,
     quadrature: str = "q",
     ks_coeff: float = 1.63,
     z_limit: float = 5.0,
 ) -> ComparisonReport:
-    """Kolmogorov-Smirnov and moment agreement against a model density.
+    """Kolmogorov-Smirnov and moment agreement against a model law.
 
-    `model` is either a MixturePdf or a plain density callable.  The KS
-    statistic is evaluated on the histogram grid, so the report must come
-    from a run with a histogram; the default threshold
+    The KS statistic is evaluated on the histogram grid, so the report
+    must come from a run with a histogram; the default threshold
     ks_coeff/sqrt(n) corresponds to the 1 percent level.
     """
+    if not isinstance(model, MixturePdf):
+        raise TypeError(f"model must be a MixturePdf, got {type(model).__name__}")
     if quadrature not in ("q", "p"):
         raise ValueError(f"quadrature must be 'q' or 'p', got {quadrature!r}")
     if report.bin_edges is None:
@@ -251,11 +236,10 @@ def compare(
 
     n = report.n_trials
     emp = np.concatenate([[0.0], np.cumsum(counts)]) / n
-    model_cdf, model_mean, model_var = _model_cdf_moments(model, report.bin_edges)
-    ks = float(np.abs(emp - model_cdf).max())
+    ks = float(np.abs(emp - model.cdf(report.bin_edges)).max())
     threshold = ks_coeff / math.sqrt(n)
-    z_mean = (mean - model_mean) / se_mean if se_mean > 0 else 0.0
-    z_var = (std * std - model_var) / se_var if se_var > 0 else 0.0
+    z_mean = (mean - model.mean()) / se_mean if se_mean > 0 else 0.0
+    z_var = (std * std - model.variance()) / se_var if se_var > 0 else 0.0
     passed = ks < threshold and abs(z_mean) <= z_limit and abs(z_var) <= z_limit
     return ComparisonReport(
         ks_stat=ks,

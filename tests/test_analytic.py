@@ -15,14 +15,25 @@ from gkpstab.analytic import (
     gaussian_pdf,
     gkp_repetition_pdfs,
     gkp_repetition_stds,
+    single_read_laws,
     tms_asymptotic_optimum,
     tms_mixture,
     tms_variance,
     tms_variance_erfc_approx,
     tms_variance_noisy_gkp,
 )
+from gkpstab.codes import (
+    CodeSpec,
+    gaussian_repetition,
+    gkp_repetition,
+    gkp_squeezed_repetition,
+    gkp_tms,
+)
+from gkpstab.decoders import Decoder
 from gkpstab.modular import MODULAR_PERIOD, centered_mod
+from gkpstab.montecarlo import run
 from gkpstab.noise import stream_rng
+from gkpstab.symplectic import SymplecticTransform, compose, sum_gate
 
 ROOT_2PI = MODULAR_PERIOD
 
@@ -248,6 +259,57 @@ def test_gkp_repetition_stds_frozen_sampling_references():
     assert std_p == pytest.approx(0.571814, abs=1e-3)
 
 
+@settings(max_examples=60)
+@given(
+    sigma=st.floats(0.001, 0.9),
+    gain=st.floats(1.0, 600.0),
+    sigma_gkp=st.one_of(st.just(0.0), st.floats(0.0, 0.1)),
+)
+def test_single_read_laws_give_the_noisy_tms_variance(sigma, gain, sigma_gkp):
+    # the law derived from the code's rows and decoder weights against the
+    # closed form of the two-mode squeezing code
+    want = tms_variance_noisy_gkp(sigma, sigma_gkp, gain)
+    for law in single_read_laws(gkp_tms(gain, sigma_gkp), sigma):
+        assert law.variance() == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_single_read_laws_of_noisy_gkp_repetition_match_sampling():
+    # GKP repetition with noisy ancillas has no closed form of its own
+    code = gkp_repetition(0.05)
+    for sigma in (0.1, 0.2, 0.3):
+        law_q, law_p = single_read_laws(code, sigma)
+        rep = run(code, Decoder.for_code(code, sigma), sigma, 10**6, seed=41, histogram=False)
+        assert abs(rep.std_q**2 - law_q.variance()) < 3 * rep.se_var_q, sigma
+        assert abs(rep.std_p**2 - law_p.variance()) < 3 * rep.se_var_p, sigma
+
+
+def test_single_read_laws_of_unwrapped_quadratures_are_gaussian():
+    # the exact read of two-mode Gaussian repetition, and a data momentum
+    # that no read corrects, leave one Gaussian each
+    law_q, law_p = single_read_laws(gaussian_repetition(2), 0.2)
+    assert law_q.weights.size == law_p.weights.size == 1
+    assert law_q.variance() == pytest.approx(0.02, rel=1e-12)
+    assert law_p.variance() == pytest.approx(0.08, rel=1e-12)
+
+
+def test_single_read_laws_reject_chained_reads():
+    # a position shear on the ancilla correlates its two reads: each data
+    # quadrature still has one weight, but the momentum read feeds forward
+    # the position read, whose wraps then shift the momentum output too
+    shear = np.eye(4)
+    shear[2, 3] = 0.7
+    fed = CodeSpec(compose(SymplecticTransform(2, shear), sum_gate(2, 1, 2)), 1)
+    for code, problem in (
+        (fed, "without feed-forward"),
+        (gkp_squeezed_repetition(3, 2.0), "without feed-forward"),
+        (gaussian_repetition(3), "at most one read"),
+    ):
+        with pytest.raises(ValueError, match=f"single_read_laws needs .*{problem}"):
+            single_read_laws(code, 0.1)
+    with pytest.raises(ValueError, match="sigma must be finite and positive"):
+        single_read_laws(gkp_tms(2.0), 0.0)
+
+
 # the three variances as functions of (sigma, sigma_gkp, gain)
 _VARIANCES = {
     "exact": lambda s, t, g: tms_variance(s, g),
@@ -378,14 +440,14 @@ def test_noisy_sigma_array_with_noiseless_rows():
 def test_noisy_failure_names_the_row_sigma(monkeypatch):
     import gkpstab.analytic as analytic
 
-    sums = analytic._noisy_cell_sums
+    sums = analytic._lattice_sums
 
-    def poisoned(ns, edges, u, *rest):
+    def poisoned(row_sums, spread, *per_row):
         # the row of sigma = 0.3 alone has a spread above 0.5 at G = 2
-        out = sums(ns, edges, u, *rest)
-        return np.where(u[:, 0] > 0.5, np.nan, out)
+        out = sums(row_sums, spread, *per_row)
+        return np.where(spread > 0.5, np.nan, out)
 
-    monkeypatch.setattr(analytic, "_noisy_cell_sums", poisoned)
+    monkeypatch.setattr(analytic, "_lattice_sums", poisoned)
     with pytest.raises(ArithmeticError, match=r"sigma=0\.3, sigma_gkp=0\.05, gain=2\.0$"):
         tms_variance_noisy_gkp(np.array([0.1, 0.3, 0.2]), 0.05, 2.0)
 

@@ -1,10 +1,11 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gkpstab.analytic import gkp_repetition_pdfs, tms_mixture
+from gkpstab.analytic import gkp_repetition_pdfs, single_read_laws, tms_mixture
 from gkpstab.codes import (
     gaussian_repetition,
     gkp_repetition,
@@ -179,10 +180,23 @@ def test_compare_rejects_wrong_model():
 def test_compare_with_plain_density_callable():
     sigma = 0.2
     rep = run(gkp_repetition(), gkp_repetition_decoder(), sigma, 200_000, seed=10)
-    q_model = lambda u: gkp_repetition_pdfs(u, sigma)[0]
-    p_model = lambda u: gkp_repetition_pdfs(u, sigma)[1]
+    q_model, p_model = single_read_laws(gkp_repetition(), sigma)
     assert compare(rep, q_model, quadrature="q").passed
     assert compare(rep, p_model, quadrature="p").passed
+
+
+def test_compare_takes_only_a_mixture():
+    rep = run(gkp_repetition(), gkp_repetition_decoder(), 0.2, 1_000, seed=10)
+    with pytest.raises(TypeError, match="model must be a MixturePdf, got function"):
+        compare(rep, lambda u: gkp_repetition_pdfs(u, 0.2)[0])
+
+
+def test_only_the_checks_integrate_numerically():
+    # every law has closed cell sums; quadrature stays in checks.py alone,
+    # as the independent normalisation check
+    src = Path(__file__).resolve().parents[1] / "src" / "gkpstab"
+    users = sorted(p.name for p in src.glob("*.py") if "scipy.integrate" in p.read_text())
+    assert users == ["checks.py"]
 
 
 def test_gaussian_repetition_spreads():

@@ -264,7 +264,7 @@ _PINNED = [
                 "0x1.1caaf49a8cf94p-1", "0x1.0001efac61e38p+0"]),
     ((0.3, gkp_sigma_from_db(20.0), "noisy_gkp"),
      ["0x1.5cfe0ba1004fap+0", "0x1.c53187a13151cp+0", "0x1.3d7ef44d4a38ep+2",
-      "0x1.06fa861ad3f26p-2", "0x1.5d55a5186108dp+0"]),
+      "0x1.06fa861ad3f1ep-2", "0x1.5d55a518610a3p+0"]),
     ((0.05, 0.0, "erfc_approx"),
      ["0x1.baf66c3ea33ebp+3", "0x1.d37848e127444p+2", "0x1.1457f3ed0317cp+4",
       "0x1.49ddcddd9aa40p-7", "0x1.8ab70acecbe63p+4"]),
@@ -280,4 +280,14 @@ def test_searches_keep_their_bits():
 
 @pytest.mark.slow
 def test_critical_squeezing_keeps_its_bits():
-    assert critical_gkp_squeezing_db() == 10.9912109375
+    assert critical_gkp_squeezing_db() == 10.9091796875
+
+
+@pytest.mark.slow
+def test_critical_squeezing_searches_every_window_sigma():
+    # at 10.95 dB encoding still helps at sigma = 0.34, a sigma of the
+    # window, so the critical squeezing lies below 10.95 dB
+    sigma_gkp = gkp_sigma_from_db(10.95)
+    assert optimize(0.34, sigma_gkp, "noisy_gkp").g_star > 1.0
+    assert tuning._any_window(sigma_gkp)
+    assert critical_gkp_squeezing_db() <= 10.95
