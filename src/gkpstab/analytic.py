@@ -8,6 +8,7 @@ by the probability of landing in it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -205,10 +206,13 @@ def single_read_laws(code: CodeSpec, sigma: float) -> tuple[MixturePdf, MixtureP
     with feed-forward or with two reads for one data quadrature.
     """
     _check_finite("sigma", sigma, positive=True)
-    dec = Decoder.for_code(code, sigma)
+    return _single_read_laws(Decoder.for_code(code, sigma), inverse(code.encoder).matrix, sigma)
+
+
+def _single_read_laws(dec: Decoder, t: np.ndarray, sigma: float) -> tuple[MixturePdf, MixturePdf]:
+    # `single_read_laws` from the code's decoder and S^{-1} = t
     if any(read.feed_forward for read in dec.reads):
         raise ValueError("single_read_laws needs a decoder without feed-forward")
-    t = inverse(code.encoder).matrix
     t2 = 2.0 * dec.sigma_gkp * dec.sigma_gkp
     laws = []
     for data, weights in ((t[0], dec.c_q), (t[1], dec.c_p)):
@@ -261,12 +265,21 @@ def _tms_lattice(sigma, g, sigma_gkp: float):
     two_g = 2.0 * g - 1.0
     w = 2.0 * np.sqrt(g * (g - 1.0)) / two_g
     t2 = 2.0 * sigma_gkp * sigma_gkp
-    # divided in turn, so that q is 0 at sigma_gkp = 0 even where sigma^2
-    # underflows
-    q1 = 1.0 + t2 / two_g / sigma / sigma
-    k = sigma * sigma / two_g + w * w * t2 / q1
-    spread = np.sqrt(two_g) * sigma * np.sqrt(q1)
-    total = k + _lattice_sums(_shift_sums, spread, w * _P / q1)
+    # a term that underflows is negligible and rightly zero; an overflow of
+    # 1 + q is taken to its limit below
+    with np.errstate(over="ignore", under="ignore"):
+        # divided in turn, so that q is 0 at sigma_gkp = 0 even where sigma^2
+        # underflows
+        q1 = 1.0 + t2 / two_g / sigma / sigma
+        k = sigma * sigma / two_g + w * w * t2 / q1
+        spread = np.sqrt(two_g) * sigma * np.sqrt(q1)
+        wide = q1 == math.inf
+        if wide.any():
+            # 1 + q overflowed: take its q -> inf limits, k = (2G - 1)
+            # sigma^2 and spread = sqrt(2) sigma_gkp; the step is then zero
+            k = np.where(wide, two_g * sigma * sigma, k)
+            spread = np.where(wide, math.sqrt(t2), spread)
+        total = k + _lattice_sums(_shift_sums, spread, w * _P / q1)
     failed = ~np.isfinite(total)
     if failed.any():
         at = np.flatnonzero(failed)[0]
@@ -356,7 +369,7 @@ def gkp_repetition_pdfs(xi, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     the paper's logical spreads sigma/sqrt(2) and sigma.  The outer
     pieces are syndromes that wrapped into a neighbouring cell.
     """
-    return tuple(law.pdf(xi) for law in single_read_laws(gkp_repetition(), sigma))
+    return tuple(law.pdf(xi) for law in _gkp_repetition_laws(sigma))
 
 
 def gkp_repetition_stds(sigma: float) -> tuple[float, float]:
@@ -376,5 +389,18 @@ def gkp_repetition_stds(sigma: float) -> tuple[float, float]:
     2 pi erfc(sqrt(2 pi) / (2 sqrt(2) sigma)) to var_p; in sigma_q that is
     +5.3% at sigma = 0.3 and +0.04% at sigma = 0.2.
     """
-    law_q, law_p = single_read_laws(gkp_repetition(), sigma)
+    law_q, law_p = _gkp_repetition_laws(sigma)
     return math.sqrt(law_q.variance()), math.sqrt(law_p.variance())
+
+
+@functools.cache
+def _gkp_repetition_reads() -> tuple[Decoder, np.ndarray]:
+    # the ancillas are ideal, so the decoder, like S^{-1}, does not depend on
+    # the channel noise it is derived at
+    code = gkp_repetition()
+    return Decoder.for_code(code, 1.0), inverse(code.encoder).matrix
+
+
+def _gkp_repetition_laws(sigma: float) -> tuple[MixturePdf, MixturePdf]:
+    _check_finite("sigma", sigma, positive=True)
+    return _single_read_laws(*_gkp_repetition_reads(), sigma)

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .analytic import single_read_laws, tms_mixture
 from .codes import gaussian_repetition, gkp_repetition, gkp_tms
@@ -170,6 +169,10 @@ def _random_gate_passive(gen, n_modes: int) -> SymplecticTransform:
 
 def check_pdf_normalization(tol: float = 1e-6) -> CheckResult:
     """Output densities integrate to one."""
+    # imported here: scipy.integrate costs more start-up than the rest of
+    # the package together, and only this check integrates numerically
+    from scipy.integrate import quad
+
     worst = 0.0
     for sigma in (0.1, 0.3, 0.5):
         half = math.sqrt(math.pi / 2.0)

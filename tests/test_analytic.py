@@ -457,6 +457,19 @@ def test_noiseless_channel_gives_zero_of_gain_shape():
     assert np.array_equal(tms_variance_noisy_gkp(0.0, 0.1, np.ones((2, 3))), np.zeros((2, 3)))
 
 
+def test_noisy_variance_where_sigma_squared_is_lost():
+    # at sigma = 1e-170, 1 + q overflows and its q -> inf limit (2G - 1)
+    # sigma^2 underflows to zero; at 1e-150, 1 + q is finite and keeps its bits
+    sigmas = np.array([1e-170, 1e-150, 0.1])
+    with np.errstate(all="raise"):
+        lone = [tms_variance_noisy_gkp(float(s), 0.05, 2.0) for s in sigmas]
+        together = tms_variance_noisy_gkp(sigmas, 0.05, 2.0)
+    assert lone[0] == 0.0
+    assert lone[1] == float.fromhex("0x1.01297d23ab683p-995")
+    assert lone[1] == pytest.approx(3.0 * 1e-300, rel=1e-12, abs=0.0)
+    assert together.tolist() == lone
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_variances_reject_non_finite_input(bad):
     calls = [

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,6 +252,20 @@ def test_main_checks_subcommand(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 6
     assert "FAIL" not in out
+
+
+def test_import_leaves_out_numerical_integration():
+    # a fresh interpreter, since the checks have loaded quad into this one
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    code = (
+        "import sys, gkpstab, gkpstab.cli; print(sorted(m for m in sys.modules"
+        " if m.startswith(('scipy.integrate', 'scipy.optimize'))))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_checks_negative_control():
