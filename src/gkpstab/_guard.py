@@ -1,0 +1,33 @@
+"""The rule for real arguments: finite, and positive, nonnegative, >= 1 or > 1."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+# kind -> (bound, whether the bound itself is excluded)
+_BOUNDS = {
+    "positive": (0.0, True),
+    "nonnegative": (0.0, False),
+    ">= 1": (1.0, False),
+    "> 1": (1.0, True),
+}
+
+
+def checked(name: str, value, kind: str):
+    """`value`, unchanged, once it, or each of its elements, is finite and
+    `kind`; the ValueError names the first element that is not."""
+    bound, strict = _BOUNDS[kind]
+    # python and numpy float scalars take the fast path; NaN fails every test
+    if isinstance(value, (float, int)):
+        if (bound < value if strict else bound <= value) and value < math.inf:
+            return value
+        bad = value
+    else:
+        v = np.asarray(value)
+        ok = (v > bound if strict else v >= bound) & (v < math.inf)
+        if np.count_nonzero(ok) == ok.size:
+            return value
+        bad = np.extract(~ok, v)[0]
+    raise ValueError(f"{name} must be finite and {kind}, got {bad}")

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf, erfc, ndtr
 
+from ._guard import checked
 from .codes import CodeSpec, gkp_repetition, gkp_tms
 from .decoders import Decoder
 from .modular import MODULAR_PERIOD
@@ -45,12 +46,6 @@ def gaussian_pdf(x, sigma):
     return np.exp(-(x * x) / (2.0 * sigma * sigma)) / np.sqrt(2.0 * math.pi * sigma * sigma)
 
 
-def _check_finite(name: str, value: float, positive: bool = False):
-    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
-        kind = "positive" if positive else "nonnegative"
-        raise ValueError(f"{name} must be finite and {kind}, got {value}")
-
-
 def _n_max(spread):
     # keep cells out to 8 standard deviations so the discarded lattice
     # mass stays below the 1e-10 budget of the mixture weights
@@ -77,9 +72,11 @@ def cell_masses(sigma: float, n_max: int | None = None) -> tuple[np.ndarray, np.
     cell indices and their probabilities, truncated where the Gaussian
     tail is negligible.
     """
-    _check_finite("sigma", sigma, positive=True)
+    checked("sigma", sigma, "positive")
     if n_max is None:
         n_max = int(_n_max(sigma))
+    elif n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
     ns = np.arange(-n_max, n_max + 1)
     return ns, _masses(sigma, _cell_edges(n_max))
 
@@ -107,23 +104,6 @@ def _lattice_sums(row_sums, spread, *per_row) -> np.ndarray:
     return out.reshape(shape)
 
 
-_WITHIN = {
-    "positive": lambda v: v > 0.0,
-    "nonnegative": lambda v: v >= 0.0,
-    ">= 1": lambda v: v >= 1.0,
-}
-
-
-def _checked(name: str, value, kind: str):
-    # value, unchanged, once each of its elements is finite and `kind`; the
-    # error names the first element that is not
-    ok = _WITHIN[kind](value) & (value < math.inf)
-    if np.count_nonzero(ok) != np.size(ok):
-        bad = np.extract(~ok, value)[0]
-        raise ValueError(f"{name} must be finite and {kind}, got {bad}")
-    return value
-
-
 def _sigma_gain(sigma, gain, kind: str = "positive"):
     # (shape, sigma, gain): the checked arguments and their broadcast shape.
     # A single value comes back as numpy scalars, whose arithmetic costs
@@ -132,7 +112,7 @@ def _sigma_gain(sigma, gain, kind: str = "positive"):
     shape = np.broadcast(s, g).shape
     if s.size == 1 and g.size == 1:
         s, g = s.reshape(-1)[0], g.reshape(-1)[0]
-    return shape, _checked("sigma", s, kind), _checked("gain", g, ">= 1")
+    return shape, checked("sigma", s, kind), checked("gain", g, ">= 1")
 
 
 def _shaped(values, shape):
@@ -162,7 +142,7 @@ class MixturePdf:
         total = w.sum()
         if not (1.0 - 1e-10 <= total <= 1.0 + 1e-12):
             raise ValueError(f"mixture weights sum to {total}, expected 1")
-        _check_finite("base_sigma", self.base_sigma, positive=True)
+        checked("base_sigma", self.base_sigma, "positive")
         w.flags.writeable = False
         s.flags.writeable = False
         object.__setattr__(self, "weights", w)
@@ -205,7 +185,7 @@ def single_read_laws(code: CodeSpec, sigma: float) -> tuple[MixturePdf, MixtureP
     with an exact read, is Gaussian.  Raises ValueError for a decoder
     with feed-forward or with two reads for one data quadrature.
     """
-    _check_finite("sigma", sigma, positive=True)
+    checked("sigma", sigma, "positive")
     return _single_read_laws(Decoder.for_code(code, sigma), inverse(code.encoder).matrix, sigma)
 
 
@@ -241,9 +221,6 @@ def tms_mixture(sigma: float, gain: float) -> MixturePdf:
     sqrt(2 pi) n with probability given by the cell masses of the
     amplified syndrome (`single_read_laws` of `codes.gkp_tms(gain)`).
     """
-    _check_finite("sigma", sigma, positive=True)
-    if not (math.isfinite(gain) and gain >= 1.0):
-        raise ValueError(f"gain must be finite and >= 1, got {gain}")
     return single_read_laws(gkp_tms(gain), sigma)[0]
 
 
@@ -324,7 +301,7 @@ def tms_asymptotic_optimum(sigma: float) -> tuple[float, float]:
     Returns (gain, sigma_L).  Valid when log(pi^1.5 / (2 sigma^4)) is
     positive, i.e. for sigma well below 1.
     """
-    _check_finite("sigma", sigma, positive=True)
+    checked("sigma", sigma, "positive")
     big_l = math.log(math.pi**1.5 / (2.0 * sigma**4))
     if big_l <= 0:
         raise ValueError(f"asymptotic form invalid for sigma = {sigma}")
@@ -345,7 +322,7 @@ def tms_variance_noisy_gkp(sigma, sigma_gkp: float, gain):
     leaves no noise.
     """
     shape, sigma, g = _sigma_gain(sigma, gain, "nonnegative")
-    _check_finite("sigma_gkp", sigma_gkp)
+    checked("sigma_gkp", sigma_gkp, "nonnegative")
     if np.count_nonzero(sigma) != np.size(sigma):
         out = np.zeros(shape)
         live = np.broadcast_to(sigma > 0, shape)
@@ -402,5 +379,5 @@ def _gkp_repetition_reads() -> tuple[Decoder, np.ndarray]:
 
 
 def _gkp_repetition_laws(sigma: float) -> tuple[MixturePdf, MixturePdf]:
-    _check_finite("sigma", sigma, positive=True)
+    checked("sigma", sigma, "positive")
     return _single_read_laws(*_gkp_repetition_reads(), sigma)

@@ -8,9 +8,9 @@ for the Gaussian repetition benchmark.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+from ._guard import checked
 from .symplectic import (
     SymplecticTransform,
     compose,
@@ -59,10 +59,7 @@ class CodeSpec:
             raise ValueError(
                 f"data_modes must lie in [1, {self.encoder.n_modes - 1}], got {self.data_modes}"
             )
-        if not (math.isfinite(self.ancilla_sigma_gkp) and self.ancilla_sigma_gkp >= 0):
-            raise ValueError(
-                f"ancilla_sigma_gkp must be finite and nonnegative, got {self.ancilla_sigma_gkp}"
-            )
+        checked("ancilla_sigma_gkp", self.ancilla_sigma_gkp, "nonnegative")
 
     @property
     def n_modes(self) -> int:
@@ -131,8 +128,7 @@ def gkp_squeezed_repetition(n_modes: int, lam: float, sigma_gkp: float = 0.0) ->
     """
     if n_modes < 2:
         raise ValueError(f"need at least two modes, got {n_modes}")
-    if lam <= 1.0:
-        raise ValueError(f"lambda must exceed 1, got {lam}")
+    checked("lam", lam, "> 1")
     enc = compose(
         single_mode_squeeze(1.0 / lam, 1, 2),
         single_mode_squeeze(lam, 2, 2),

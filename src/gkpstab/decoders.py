@@ -17,6 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import codes
+from ._guard import checked
 from .modular import modular_measure
 from .symplectic import inverse
 
@@ -60,8 +61,7 @@ class Decoder:
     exact: bool = False
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma_gkp) and self.sigma_gkp >= 0):
-            raise ValueError(f"sigma_gkp must be finite and >= 0, got {self.sigma_gkp}")
+        checked("sigma_gkp", self.sigma_gkp, "nonnegative")
         if not len(self.reads) == len(self.c_q) == len(self.c_p):
             raise ValueError("need one c_q and one c_p weight per read")
 
@@ -79,8 +79,7 @@ class Decoder:
         c_p, the linear MMSE estimate without wraps.  Zero coefficients come
         out exact and leave the feed-forward.  Only data mode 1 is estimated.
         """
-        if not (math.isfinite(sigma) and sigma >= 0):
-            raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
+        checked("sigma", sigma, "nonnegative")
         n, exact = code.n_modes, code.ancilla_kind == "position"
         columns = [2 * k for k in range(code.data_modes, n)]
         if not exact:

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from ._guard import checked
 from .noise import draw_normal
 
 __all__ = ["MODULAR_PERIOD", "centered_mod", "modular_measure"]
@@ -28,10 +29,9 @@ def centered_mod(value, period: float = MODULAR_PERIOD):
     of the period) pick the n of smaller magnitude, so the result
     carries the sign of `value`.
 
-    Accepts scalars or arrays; period must be positive and finite.
+    Accepts scalars or arrays; period must be finite and positive.
     """
-    if not (0 < period < math.inf):
-        raise ValueError(f"period must be positive and finite, got {period}")
+    checked("period", period, "positive")
     v = np.atleast_1d(np.asarray(value, dtype=float))
     # n = copysign(ceil(|x| - 1/2), x), x = v / period, rounds half toward
     # zero and equals where(x >= 0, ceil(x - 1/2), floor(x + 1/2)) bit for
@@ -61,8 +61,7 @@ def modular_measure(value, sigma_gkp: float = 0.0, rng=None):
         sigma_gkp: per-quadrature GKP noise standard deviation (>= 0).
         rng: seed or numpy Generator used when sigma_gkp > 0.
     """
-    if not (math.isfinite(sigma_gkp) and sigma_gkp >= 0):
-        raise ValueError(f"sigma_gkp must be finite and nonnegative, got {sigma_gkp}")
+    checked("sigma_gkp", sigma_gkp, "nonnegative")
     if sigma_gkp == 0:
         return centered_mod(value)
     gen = np.random.default_rng(rng)

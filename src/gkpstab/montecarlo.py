@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._guard import checked
 from .analytic import MixturePdf
 from .codes import CodeSpec
 from .noise import draw_normal, stream_rng
@@ -83,10 +84,15 @@ def _histogram(x, edges):
     return np.append(counts, below + above)
 
 
-def _block(code, decoder, t_inv, sigma, seed, index, count, edges):
-    gen = stream_rng(seed, index)
+def _decoded(code, decoder, t_inv, sigma, seed, stream, count):
+    # decoder outcome of `count` trials drawn from the stream (seed, stream)
+    gen = stream_rng(seed, stream)
     z = draw_normal(gen, sigma, (count, 2 * code.n_modes)) @ t_inv
-    out = decoder(z, gen)
+    return decoder(z, gen)
+
+
+def _block(code, decoder, t_inv, sigma, seed, index, count, edges):
+    out = _decoded(code, decoder, t_inv, sigma, seed, index, count)
     xi_q = np.asarray(out.xi_q, dtype=float)
     xi_p = np.asarray(out.xi_p, dtype=float)
     if edges is None:
@@ -101,9 +107,7 @@ def _block(code, decoder, t_inv, sigma, seed, index, count, edges):
 
 def _pilot_edges(code, decoder, t_inv, sigma, seed):
     # histogram bins reaching six spreads of a pilot run on its own stream
-    gen = stream_rng(seed, _PILOT_STREAM)
-    pilot = draw_normal(gen, sigma, (_PILOT_TRIALS, 2 * code.n_modes)) @ t_inv
-    out = decoder(pilot, gen)
+    out = _decoded(code, decoder, t_inv, sigma, seed, _PILOT_STREAM, _PILOT_TRIALS)
     reach = 6.0 * max(sigma, float(np.std(out.xi_q)), float(np.std(out.xi_p)), 1e-9)
     return np.linspace(-reach, reach, _N_BINS + 1)
 
@@ -151,8 +155,7 @@ def run(
         raise ValueError(f"n_trials must be positive, got {n_trials}")
     if shards < 1:
         raise ValueError(f"shards must be positive, got {shards}")
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
+    checked("sigma", sigma, "nonnegative")
     t_inv = inverse(code.encoder).matrix.T.copy()
     edges = _pilot_edges(code, decoder, t_inv, sigma, seed) if histogram else None
 
@@ -228,11 +231,10 @@ def compare(
         raise ValueError(f"quadrature must be 'q' or 'p', got {quadrature!r}")
     if report.bin_edges is None:
         raise ValueError("report has no histogram to compare; run with histogram=True")
-    counts = report.counts_q if quadrature == "q" else report.counts_p
-    mean = report.mean_q if quadrature == "q" else report.mean_p
-    std = report.std_q if quadrature == "q" else report.std_p
-    se_mean = report.se_mean_q if quadrature == "q" else report.se_mean_p
-    se_var = report.se_var_q if quadrature == "q" else report.se_var_p
+    counts, mean, std, se_mean, se_var = (
+        getattr(report, f"{field}_{quadrature}")
+        for field in ("counts", "mean", "std", "se_mean", "se_var")
+    )
 
     n = report.n_trials
     emp = np.concatenate([[0.0], np.cumsum(counts)]) / n

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._guard import checked
 from .symplectic import SymplecticTransform, inverse
 
 __all__ = [
@@ -39,8 +40,7 @@ class IidNoiseModel:
     n_modes: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
+        checked("sigma", self.sigma, "nonnegative")
         if self.n_modes < 1:
             raise ValueError(f"need at least one mode, got {self.n_modes}")
 
@@ -137,8 +137,7 @@ def loss_to_sigma(gamma: float) -> float:
 
 def gkp_sigma_from_delta(delta: float) -> float:
     """GKP noise standard deviation of a width-`delta` normalizable GKP state."""
-    if not (math.isfinite(delta) and delta >= 0):
-        raise ValueError(f"delta must be finite and nonnegative, got {delta}")
+    checked("delta", delta, "nonnegative")
     e = math.exp(-delta)
     return math.sqrt((1.0 - e) / (1.0 + e))
 
@@ -158,8 +157,7 @@ def gkp_sigma_from_db(squeeze_db: float) -> float:
 
 def gkp_db_from_sigma(sigma_gkp: float) -> float:
     """Squeezing level in dB of a GKP state with noise `sigma_gkp`."""
-    if not (math.isfinite(sigma_gkp) and sigma_gkp >= 0):
-        raise ValueError(f"sigma_gkp must be finite and nonnegative, got {sigma_gkp}")
+    checked("sigma_gkp", sigma_gkp, "nonnegative")
     if sigma_gkp == 0:
         return math.inf
     return -10.0 * math.log10(2.0 * sigma_gkp**2)

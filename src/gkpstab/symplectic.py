@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._guard import checked
+
 __all__ = [
     "SymplecticTransform",
     "omega",
@@ -118,13 +120,12 @@ def single_mode_squeeze(scale: float, mode: int, n_modes: int) -> SymplecticTran
     """Squeezer scaling q by `scale` and p by 1/`scale` on one mode.
 
     Args:
-        scale: position scale factor, must be positive.  Values above 1
+        scale: position scale factor, finite and positive.  Values above 1
             stretch the position quadrature.
         mode: 1-based mode index.
         n_modes: total number of modes.
     """
-    if scale <= 0:
-        raise ValueError(f"squeeze scale must be positive, got {scale}")
+    checked("scale", scale, "positive")
     _check_mode(mode, n_modes)
     m = np.eye(2 * n_modes)
     m[_q(mode), _q(mode)] = scale
@@ -148,8 +149,7 @@ def two_mode_squeeze(gain: float, mode_a: int, mode_b: int, n_modes: int) -> Sym
         mode_b: 1-based index of the second mode.
         n_modes: total number of modes.
     """
-    if gain < 1.0:
-        raise ValueError(f"two-mode squeeze gain must be >= 1, got {gain}")
+    checked("gain", gain, ">= 1")
     _check_mode_pair(mode_a, mode_b, n_modes)
     c = np.sqrt(gain)
     s = np.sqrt(gain - 1.0)

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._guard import checked
 from .analytic import (
-    _check_finite,
-    _checked,
     _shaped,
     tms_variance,
     tms_variance_erfc_approx,
@@ -53,8 +52,7 @@ class GainOptimum:
 
 def squeeze_db_from_gain(gain: float) -> float:
     """Single-mode squeezing, in dB, that realizes gain G via beam splitters."""
-    if not (math.isfinite(gain) and gain >= 1.0):
-        raise ValueError(f"gain must be finite and >= 1, got {gain}")
+    checked("gain", gain, ">= 1")
     lam = math.sqrt(gain) + math.sqrt(gain - 1.0)
     return 20.0 * math.log10(lam)
 
@@ -131,8 +129,8 @@ def optimize(sigma, sigma_gkp: float = 0.0, objective: str = "exact") -> GainOpt
     every sigma is searched in lockstep, and each gives the fields of its
     lone search bit for bit.
     """
-    sig = _checked("sigma", np.asarray(sigma, dtype=float), "positive")
-    _check_finite("sigma_gkp", sigma_gkp)
+    sig = checked("sigma", np.asarray(sigma, dtype=float), "positive")
+    checked("sigma_gkp", sigma_gkp, "nonnegative")
     fun = _objective(objective, sigma_gkp)
     shape, sig = sig.shape, sig.reshape(-1)
 
@@ -177,8 +175,8 @@ def threshold_sigma(sigma_gkp: float = 0.0, tol: float = 1e-4):
     Returns None when no channel noise benefits, which happens once the
     ancilla noise is too large.
     """
-    _check_finite("sigma_gkp", sigma_gkp)
-    _check_finite("tol", tol, positive=True)
+    checked("sigma_gkp", sigma_gkp, "nonnegative")
+    checked("tol", tol, "positive")
     objective = "noisy_gkp" if sigma_gkp > 0 else "exact"
     # the scan searches a chunk of sigmas at a time in lockstep and stops
     # at the first chunk where encoding helps: one search of all 76 would
@@ -213,7 +211,7 @@ def _any_window(sigma_gkp: float) -> bool:
 
 def critical_gkp_squeezing_db(tol_db: float = 0.01) -> float:
     """Minimum ancilla squeezing, in dB, below which encoding never helps."""
-    _check_finite("tol_db", tol_db, positive=True)
+    checked("tol_db", tol_db, "positive")
     lo, hi = 8.0, 14.0
     if _any_window(gkp_sigma_from_db(lo)):
         raise RuntimeError("search bracket too narrow at the low end")

@@ -60,6 +60,13 @@ def test_cell_masses_normalized_and_symmetric():
         assert w[mid] == w.max()
 
 
+def test_cell_masses_rejects_negative_n_max():
+    with pytest.raises(ValueError, match="^n_max must be nonnegative, got -1$"):
+        cell_masses(0.1, n_max=-1)
+    ns, w = cell_masses(0.1, n_max=0)
+    assert ns.tolist() == [0] and w.size == 1
+
+
 def test_mixture_pdf_validation():
     with pytest.raises(ValueError):
         MixturePdf(np.array([0.7, 0.2]), np.array([0.0, 1.0]), 0.1)

@@ -1,0 +1,57 @@
+import math
+import re
+
+import numpy as np
+import pytest
+
+from gkpstab._guard import checked
+from gkpstab.codes import gkp_squeezed_repetition, gkp_tms
+from gkpstab.modular import centered_mod
+from gkpstab.symplectic import single_mode_squeeze, two_mode_squeeze
+
+_BOUNDARY = {"positive": 0.0, "nonnegative": 0.0, ">= 1": 1.0, "> 1": 1.0}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "call, name, kind",
+    [
+        (lambda v: single_mode_squeeze(v, 1, 2), "scale", "positive"),
+        (lambda v: two_mode_squeeze(v, 1, 2, 2), "gain", ">= 1"),
+        (lambda v: gkp_tms(v), "gain", ">= 1"),
+        (lambda v: gkp_squeezed_repetition(3, v), "lam", "> 1"),
+        (lambda v: centered_mod(1.0, v), "period", "positive"),
+    ],
+)
+def test_gate_and_period_arguments_reject_non_finite(call, name, kind, bad):
+    # the error names the argument and its value before any matrix is built
+    message = f"{name} must be finite and {kind}, got {bad}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("kind", sorted(_BOUNDARY))
+def test_scalar_and_array_paths_agree(kind):
+    bound = _BOUNDARY[kind]
+    values = [bound, math.nextafter(bound, -math.inf), math.nextafter(bound, math.inf),
+              2.0, -2.0, 1e308, math.nan, math.inf, -math.inf]
+    for v in values:
+        forms = [v, np.float64(v), np.array(v), np.array([v]), [2.0, v]]
+        outcomes = []
+        for form in forms:
+            try:
+                assert checked("x", form, kind) is form
+                outcomes.append(None)
+            except ValueError as err:
+                outcomes.append(str(err))
+        assert len(set(outcomes)) == 1, (v, outcomes)
+        accepted = outcomes[0] is None
+        strict = kind in ("positive", "> 1")
+        assert accepted == (math.isfinite(v) and (v > bound if strict else v >= bound))
+
+
+def test_array_names_first_bad_element():
+    with pytest.raises(ValueError, match=r"^x must be finite and >= 1, got 0\.5$"):
+        checked("x", np.array([[1.0, 0.5], [math.nan, 2.0]]), ">= 1")
+    empty = np.zeros((0, 3))
+    assert checked("x", empty, "positive") is empty
