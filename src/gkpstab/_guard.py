@@ -1,4 +1,5 @@
-"""The rule for real arguments: finite, and positive, nonnegative, >= 1 or > 1."""
+"""The rule for real arguments (finite, and positive, nonnegative, >= 1 or
+> 1) and the shape rule for results (a float for 0-d, else an array)."""
 
 from __future__ import annotations
 
@@ -31,3 +32,9 @@ def checked(name: str, value, kind: str):
             return value
         bad = np.extract(~ok, v)[0]
     raise ValueError(f"{name} must be finite and {kind}, got {bad}")
+
+
+def shaped(values: np.ndarray, shape):
+    """`values` reshaped to `shape`: a float when that is 0-d, else an array."""
+    out = values.reshape(shape)
+    return float(out) if out.ndim == 0 else out

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf, erfc, ndtr
 
-from ._guard import checked
+from ._guard import checked, shaped
 from .codes import CodeSpec, gkp_repetition, gkp_tms
 from .decoders import Decoder
 from .modular import MODULAR_PERIOD
@@ -113,11 +113,6 @@ def _sigma_gain(sigma, gain, kind: str = "positive"):
     if s.size == 1 and g.size == 1:
         s, g = s.reshape(-1)[0], g.reshape(-1)[0]
     return shape, checked("sigma", s, kind), checked("gain", g, ">= 1")
-
-
-def _shaped(values, shape):
-    out = values.reshape(shape)
-    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,7 +273,7 @@ def tms_variance(sigma, gain):
     sigma^2.
     """
     shape, sigma, g = _sigma_gain(sigma, gain)
-    return _shaped(_tms_lattice(sigma, g, 0.0), shape)
+    return shaped(_tms_lattice(sigma, g, 0.0), shape)
 
 
 def tms_variance_erfc_approx(sigma, gain):
@@ -292,7 +287,7 @@ def tms_variance_erfc_approx(sigma, gain):
     two_g = 2.0 * g - 1.0
     tail = erfc(math.sqrt(math.pi) / (2.0 * np.sqrt(two_g) * sigma))
     weight = 8.0 * math.pi * g * (g - 1.0) / (two_g * two_g)
-    return _shaped(sigma * sigma / two_g + weight * tail, shape)
+    return shaped(sigma * sigma / two_g + weight * tail, shape)
 
 
 def tms_asymptotic_optimum(sigma: float) -> tuple[float, float]:
@@ -331,8 +326,8 @@ def tms_variance_noisy_gkp(sigma, sigma_gkp: float, gain):
                 np.broadcast_to(sigma, shape)[live], sigma_gkp,
                 np.broadcast_to(g, shape)[live],
             )
-        return _shaped(out, shape)
-    return _shaped(_tms_lattice(sigma, g, sigma_gkp), shape)
+        return shaped(out, shape)
+    return shaped(_tms_lattice(sigma, g, sigma_gkp), shape)
 
 
 def gkp_repetition_pdfs(xi, sigma: float) -> tuple[np.ndarray, np.ndarray]:

@@ -23,7 +23,6 @@ from .symplectic import (
     SymplecticTransform,
     beam_splitter,
     compose,
-    identity,
     inverse,
     is_symplectic,
     single_mode_squeeze,

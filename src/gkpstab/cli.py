@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -54,7 +54,7 @@ _FIG8_DB = (11.0, 12.8, 15.0, 20.0, 25.0, 30.0, math.inf)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Grid, sampling, and output settings shared by the subcommands."""
+    """Grid and sampling settings shared by the subcommands."""
 
     experiment: str
     sigma_min: float = 0.02
@@ -64,8 +64,6 @@ class ExperimentConfig:
     n_trials: int = 100_000
     seed: int = _DEFAULT_SEED
     shards: int = 1
-    gkp_db: tuple = ()
-    out: str = "-"
 
     def __post_init__(self):
         if self.points < 2:
@@ -196,20 +194,19 @@ def cmd_fig45(config: ExperimentConfig) -> str:
     return out.text()
 
 
-def cmd_fig8(config: ExperimentConfig) -> str:
+def cmd_fig8(config: ExperimentConfig, gkp_db=_FIG8_DB) -> str:
     """Optimized QEC gain for finite GKP ancilla squeezing.
 
-    Each curve is one lockstep search over the sigma grid.
+    One curve per ancilla squeezing level in `gkp_db` (dB, inf for
+    ideal), each one lockstep search over the sigma grid.
     """
     out = _CsvBuilder("gkpstab.fig8", config.describe())
-    db_list = config.gkp_db if config.gkp_db else _FIG8_DB
     sigmas = config.sigmas()
-    for db in db_list:
+    for db in gkp_db:
         sigma_gkp = gkp_sigma_from_db(db)
-        objective = "noisy_gkp" if sigma_gkp > 0 else "exact"
         out.comment(f"s_gkp_db = {_fmt(db)}")
         out.row(["sigma", "qec_gain", "g_star", "squeeze_db"])
-        opt = optimize(sigmas, sigma_gkp, objective)
+        opt = optimize(sigmas, sigma_gkp, "noisy_gkp")
         for i, sigma in enumerate(sigmas):
             out.row([sigma, opt.qec_gain[i], opt.g_star[i], opt.squeeze_db[i]])
     return out.text()
@@ -287,15 +284,28 @@ def cmd_sweep(
     return out.text()
 
 
-def _add_grid_flags(sub, sigma_min: float, sigma_max: float, points: int):
+def _add_experiment(subs, name: str, command, summary: str, grid: tuple):
+    """Subcommand `name`, which calls `command(config, **flags)`.
+
+    The shared flags fill the ExperimentConfig fields, with `grid` as the
+    default (sigma_min, sigma_max, points).  The flags added to the result
+    take the dests of `command`'s parameters and have no default, so a flag
+    left out leaves that parameter's default in place.
+    """
+    sigma_min, sigma_max, points = grid
+    sub = subs.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+    sub.set_defaults(run=command, experiment=name)
     sub.add_argument("--sigma-min", type=float, default=sigma_min)
     sub.add_argument("--sigma-max", type=float, default=sigma_max)
     sub.add_argument("--points", type=int, default=points)
-    sub.add_argument("--log", action="store_true", help="log-spaced sigma grid")
-    sub.add_argument("--trials", type=int, default=100_000)
+    sub.add_argument("--log", dest="log_spacing", action="store_true", default=False,
+                     help="log-spaced sigma grid")
+    sub.add_argument("--trials", dest="n_trials", metavar="TRIALS", type=int,
+                     default=100_000)
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--shards", type=int, default=1)
     sub.add_argument("--out", default="-", help="output path, '-' for stdout")
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,58 +315,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    f3 = subs.add_parser("fig3", help="GKP repetition output spreads")
-    _add_grid_flags(f3, 0.02, 0.6, 30)
+    _add_experiment(subs, "fig3", cmd_fig3, "GKP repetition output spreads",
+                    (0.02, 0.6, 30))
+    _add_experiment(subs, "fig45", cmd_fig45, "optimized two-mode squeezing point",
+                    (0.02, 0.6, 30))
 
-    f45 = subs.add_parser("fig45", help="optimized two-mode squeezing point")
-    _add_grid_flags(f45, 0.02, 0.6, 30)
+    f8 = _add_experiment(subs, "fig8", cmd_fig8, "QEC gain with noisy GKP ancillas",
+                         (0.05, 0.6, 12))
+    f8.add_argument("--gkp-db", type=float, action="append",
+                    help="ancilla squeezing in dB, repeatable; 'inf' for ideal")
 
-    f8 = subs.add_parser("fig8", help="QEC gain with noisy GKP ancillas")
-    _add_grid_flags(f8, 0.05, 0.6, 12)
-    f8.add_argument(
-        "--gkp-db",
-        type=float,
-        action="append",
-        default=None,
-        help="ancilla squeezing in dB, repeatable; 'inf' for ideal",
-    )
-
-    ad = subs.add_parser("appendix-d", help="squeezed repetition scaling")
-    _add_grid_flags(ad, 0.01, 0.05, 5)
-    ad.add_argument("--modes", type=int, action="append", default=None)
-    ad.add_argument("--wrap-constant", type=float, default=0.08)
+    ad = _add_experiment(subs, "appendix-d", cmd_appendix_d, "squeezed repetition scaling",
+                         (0.01, 0.05, 5))
+    ad.add_argument("--modes", type=int, action="append")
+    ad.add_argument("--wrap-constant", type=float)
 
     subs.add_parser("checks", help="structural self-checks")
 
-    sw = subs.add_parser("sweep", help="Monte Carlo sweep of a built-in code")
-    _add_grid_flags(sw, 0.05, 0.5, 10)
-    sw.add_argument("--code", required=True, choices=list(SWEEP_CODES))
-    sw.add_argument("--modes", type=int, default=2)
-    sw.add_argument("--gain", type=float, default=2.0)
-    sw.add_argument("--lam", type=float, default=2.0)
-    sw.add_argument("--gkp-sigma", type=float, default=0.0)
+    sw = _add_experiment(subs, "sweep", cmd_sweep, "Monte Carlo sweep of a built-in code",
+                         (0.05, 0.5, 10))
+    sw.add_argument("--code", dest="code_name", required=True, choices=list(SWEEP_CODES))
+    sw.add_argument("--modes", dest="n_modes", metavar="MODES", type=int)
+    sw.add_argument("--gain", type=float)
+    sw.add_argument("--lam", type=float)
+    sw.add_argument("--gkp-sigma", dest="sigma_gkp", metavar="GKP_SIGMA", type=float)
     return parser
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
+def _resolve_seed(seed) -> int:
+    if seed is not None:
+        return seed
     return int(os.environ.get("GKPSTAB_SEED", _DEFAULT_SEED))
-
-
-def _config_from(args) -> ExperimentConfig:
-    return ExperimentConfig(
-        experiment=args.command,
-        sigma_min=args.sigma_min,
-        sigma_max=args.sigma_max,
-        points=args.points,
-        log_spacing=args.log,
-        n_trials=args.trials,
-        seed=_resolve_seed(args),
-        shards=args.shards,
-        gkp_db=tuple(args.gkp_db) if getattr(args, "gkp_db", None) else (),
-        out=args.out,
-    )
 
 
 def _emit(text: str, out: str):
@@ -369,33 +358,24 @@ def _emit(text: str, out: str):
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = vars(parser.parse_args(argv))
 
-    if args.command == "checks":
+    if args.pop("command") == "checks":
         results = run_all_checks()
         for res in results:
             tag = "PASS" if res.passed else "FAIL"
             print(f"{tag} {res.name}: {res.detail}")
         return 0 if all(r.passed for r in results) else 1
 
+    # what is left after the shared settings are the experiment's own flags
+    run_experiment, out = args.pop("run"), args.pop("out")
+    shared = {field.name: args.pop(field.name) for field in fields(ExperimentConfig)}
     try:
-        config = _config_from(args)
-        if args.command == "fig3":
-            text = cmd_fig3(config)
-        elif args.command == "fig45":
-            text = cmd_fig45(config)
-        elif args.command == "fig8":
-            text = cmd_fig8(config)
-        elif args.command == "appendix-d":
-            modes = tuple(args.modes) if args.modes else (2, 3)
-            text = cmd_appendix_d(config, modes, args.wrap_constant)
-        else:
-            text = cmd_sweep(
-                config, args.code, args.modes, args.gain, args.lam, args.gkp_sigma
-            )
+        shared["seed"] = _resolve_seed(shared["seed"])
+        text = run_experiment(ExperimentConfig(**shared), **args)
     except ValueError as exc:
         parser.exit(2, f"{parser.prog}: config error: {exc}\n")
-    _emit(text, config.out)
+    _emit(text, out)
     return 0
 
 

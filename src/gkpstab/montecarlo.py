@@ -27,6 +27,11 @@ BLOCK_SIZE = 1 << 16
 _PILOT_STREAM = (1 << 32) - 1
 _PILOT_TRIALS = 4096
 _N_BINS = 201
+# compare's pass rule: 1.63/sqrt(n) is the 1 percent level of the
+# Kolmogorov-Smirnov statistic over n trials; each moment z-score must stay
+# within _Z_LIMIT
+_KS_COEFF = 1.63
+_Z_LIMIT = 5.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,14 +221,12 @@ def compare(
     report: TrialReport,
     model: MixturePdf,
     quadrature: str = "q",
-    ks_coeff: float = 1.63,
-    z_limit: float = 5.0,
 ) -> ComparisonReport:
     """Kolmogorov-Smirnov and moment agreement against a model law.
 
     The KS statistic is evaluated on the histogram grid, so the report
-    must come from a run with a histogram; the default threshold
-    ks_coeff/sqrt(n) corresponds to the 1 percent level.
+    must come from a run with a histogram.  It passes below the 1 percent
+    KS level with both moment z-scores within bounds.
     """
     if not isinstance(model, MixturePdf):
         raise TypeError(f"model must be a MixturePdf, got {type(model).__name__}")
@@ -239,10 +242,10 @@ def compare(
     n = report.n_trials
     emp = np.concatenate([[0.0], np.cumsum(counts)]) / n
     ks = float(np.abs(emp - model.cdf(report.bin_edges)).max())
-    threshold = ks_coeff / math.sqrt(n)
+    threshold = _KS_COEFF / math.sqrt(n)
     z_mean = (mean - model.mean()) / se_mean if se_mean > 0 else 0.0
     z_var = (std * std - model.variance()) / se_var if se_var > 0 else 0.0
-    passed = ks < threshold and abs(z_mean) <= z_limit and abs(z_var) <= z_limit
+    passed = ks < threshold and abs(z_mean) <= _Z_LIMIT and abs(z_var) <= _Z_LIMIT
     return ComparisonReport(
         ks_stat=ks,
         ks_threshold=threshold,

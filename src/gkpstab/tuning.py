@@ -12,13 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._guard import checked
-from .analytic import (
-    _shaped,
-    tms_variance,
-    tms_variance_erfc_approx,
-    tms_variance_noisy_gkp,
-)
+from ._guard import checked, shaped
+from .analytic import tms_variance, tms_variance_erfc_approx, tms_variance_noisy_gkp
 from .noise import gkp_sigma_from_db
 
 __all__ = [
@@ -60,13 +55,18 @@ def squeeze_db_from_gain(gain: float) -> float:
 def _objective(name: str, sigma_gkp: float):
     # fun(sigma, gain), broadcasting the two; the module-level names are
     # looked up at each call
-    if name == "exact":
-        return lambda s, g: tms_variance(s, g)
-    if name == "erfc_approx":
-        return lambda s, g: tms_variance_erfc_approx(s, g)
     if name == "noisy_gkp":
         return lambda s, g: tms_variance_noisy_gkp(s, sigma_gkp, g)
-    raise ValueError(f"objective must be one of {_OBJECTIVES}, got {name!r}")
+    if name not in _OBJECTIVES:
+        raise ValueError(f"objective must be one of {_OBJECTIVES}, got {name!r}")
+    if sigma_gkp > 0:
+        raise ValueError(
+            f"objective {name!r} assumes ideal ancillas, got sigma_gkp={sigma_gkp}; "
+            f"use 'noisy_gkp'"
+        )
+    if name == "exact":
+        return lambda s, g: tms_variance(s, g)
+    return lambda s, g: tms_variance_erfc_approx(s, g)
 
 
 def _each(fn, x) -> np.ndarray:
@@ -127,7 +127,9 @@ def optimize(sigma, sigma_gkp: float = 0.0, objective: str = "exact") -> GainOpt
     refinement polishes it.  When no gain beats the bare channel the
     result is clamped to G = 1 (no encoding).  `sigma` may be an array:
     every sigma is searched in lockstep, and each gives the fields of its
-    lone search bit for bit.
+    lone search bit for bit.  The "exact" and "erfc_approx" objectives
+    assume ideal ancillas and reject sigma_gkp > 0; "noisy_gkp" takes any
+    sigma_gkp and equals "exact" bit for bit at sigma_gkp = 0.
     """
     sig = checked("sigma", np.asarray(sigma, dtype=float), "positive")
     checked("sigma_gkp", sigma_gkp, "nonnegative")
@@ -162,11 +164,7 @@ def optimize(sigma, sigma_gkp: float = 0.0, objective: str = "exact") -> GainOpt
         np.where(clamped, sig, np.sqrt(var)),
         np.where(clamped, 1.0, bare / var),
     )
-    return GainOptimum(*(_shaped(f, shape) for f in fields))
-
-
-def _is_unclamped(sigma: float, sigma_gkp: float, objective: str) -> bool:
-    return optimize(sigma, sigma_gkp, objective).g_star > 1.0
+    return GainOptimum(*(shaped(f, shape) for f in fields))
 
 
 def threshold_sigma(sigma_gkp: float = 0.0, tol: float = 1e-4):
@@ -177,14 +175,13 @@ def threshold_sigma(sigma_gkp: float = 0.0, tol: float = 1e-4):
     """
     checked("sigma_gkp", sigma_gkp, "nonnegative")
     checked("tol", tol, "positive")
-    objective = "noisy_gkp" if sigma_gkp > 0 else "exact"
     # the scan searches a chunk of sigmas at a time in lockstep and stops
     # at the first chunk where encoding helps: one search of all 76 would
     # pay for the sigmas below the threshold too
     scan = np.linspace(0.8, 0.05, 76)
     for start in range(0, scan.size, _SCAN_CHUNK):
         chunk = scan[start:start + _SCAN_CHUNK]
-        helps = optimize(chunk, sigma_gkp, objective).g_star > 1.0
+        helps = optimize(chunk, sigma_gkp, "noisy_gkp").g_star > 1.0
         if helps.any():
             first = start + int(np.argmax(helps))
             break
@@ -193,7 +190,7 @@ def threshold_sigma(sigma_gkp: float = 0.0, tol: float = 1e-4):
     lo, hi = float(scan[first]), float(scan[max(first - 1, 0)])
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _is_unclamped(mid, sigma_gkp, objective):
+        if optimize(mid, sigma_gkp, "noisy_gkp").g_star > 1.0:
             lo = mid
         else:
             hi = mid

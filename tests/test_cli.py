@@ -113,10 +113,8 @@ def test_fig45_columns_and_reference_row():
 
 
 def test_fig8_blocks_and_ideal_limit():
-    config = ExperimentConfig(
-        "fig8", sigma_min=0.1, sigma_max=0.3, points=2, gkp_db=(30.0, math.inf)
-    )
-    text = cmd_fig8(config)
+    config = ExperimentConfig("fig8", sigma_min=0.1, sigma_max=0.3, points=2)
+    text = cmd_fig8(config, gkp_db=(30.0, math.inf))
     assert "# s_gkp_db = 30\r\n" in text
     assert "# s_gkp_db = inf\r\n" in text
     blocks = text.split("# s_gkp_db = ")
@@ -157,6 +155,36 @@ def test_batched_curves_match_lone_searches(capsys):
             want.append(line([sigma, opt.qec_gain, opt.g_star, opt.squeeze_db]))
     argv = ["fig8", "--points", "4", "--gkp-db", "11", "--gkp-db", "inf"]
     assert data_lines(argv) == want
+
+
+# the shared flags that keep these runs small; everything else is the
+# subcommand's own, so each text must equal the direct call's
+_SMALL = ["--sigma-min", "0.02", "--sigma-max", "0.05", "--points", "2",
+          "--trials", "3000", "--seed", "9"]
+
+
+@pytest.mark.parametrize(
+    "argv, call",
+    [
+        (["fig8"], lambda c: cmd_fig8(c)),
+        (["fig8", "--gkp-db", "13", "--gkp-db", "inf"],
+         lambda c: cmd_fig8(c, gkp_db=(13.0, math.inf))),
+        (["appendix-d"], lambda c: cmd_appendix_d(c)),
+        (["appendix-d", "--modes", "4", "--wrap-constant", "0.1"],
+         lambda c: cmd_appendix_d(c, modes=(4,), wrap_constant=0.1)),
+        (["sweep", "--code", "squeezed-rep"], lambda c: cmd_sweep(c, "squeezed-rep")),
+        (["sweep", "--code", "squeezed-rep", "--modes", "3", "--gain", "3.5",
+          "--lam", "2.5", "--gkp-sigma", "0.03"],
+         lambda c: cmd_sweep(c, "squeezed-rep", n_modes=3, gain=3.5, lam=2.5,
+                             sigma_gkp=0.03)),
+    ],
+)
+def test_flags_reach_their_parameters(argv, call, capsys):
+    # a flag left out keeps the cmd_* default; a flag given reaches its parameter
+    assert main(argv + _SMALL) == 0
+    config = ExperimentConfig(argv[0], sigma_min=0.02, sigma_max=0.05, points=2,
+                              n_trials=3000, seed=9)
+    assert capsys.readouterr().out == call(config)
 
 
 def test_appendix_d_slopes():

@@ -92,6 +92,10 @@ def test_validation():
         optimize(0.1, -0.1)
     with pytest.raises(ValueError):
         optimize(0.1, objective="fanciful")
+    # the ideal-ancilla objectives would answer for sigma_gkp = 0 instead
+    for objective in ("exact", "erfc_approx"):
+        with pytest.raises(ValueError, match=f"objective '{objective}'.*sigma_gkp=0.05"):
+            optimize(0.1, 0.05, objective)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
