@@ -8,7 +8,6 @@ by the probability of landing in it.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -16,7 +15,7 @@ import numpy as np
 from scipy.special import erf, erfc, ndtr
 
 from ._guard import checked, shaped
-from .codes import CodeSpec, gkp_repetition, gkp_tms
+from .codes import CodeSpec, gkp_repetition
 from .decoders import Decoder
 from .modular import MODULAR_PERIOD
 from .symplectic import inverse
@@ -25,12 +24,10 @@ __all__ = [
     "gaussian_pdf",
     "cell_masses",
     "MixturePdf",
-    "tms_mixture",
     "tms_variance",
     "tms_variance_erfc_approx",
     "tms_asymptotic_optimum",
     "tms_variance_noisy_gkp",
-    "gkp_repetition_pdfs",
     "gkp_repetition_stds",
     "single_read_laws",
 ]
@@ -40,8 +37,7 @@ _P = MODULAR_PERIOD
 
 def gaussian_pdf(x, sigma):
     """Density of N(0, sigma^2) at x; an array `sigma` broadcasts against x."""
-    if not (np.asarray(sigma) > 0).all():
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    checked("sigma", sigma, "positive")
     x = np.asarray(x, dtype=float)
     return np.exp(-(x * x) / (2.0 * sigma * sigma)) / np.sqrt(2.0 * math.pi * sigma * sigma)
 
@@ -65,7 +61,7 @@ def _masses(sigma, edges):
     return 0.5 * (e[..., 1:] - e[..., :-1])
 
 
-def cell_masses(sigma: float, n_max: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def cell_masses(sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """Masses of N(0, sigma^2) on the measurement cells.
 
     Cell n is [(n - 1/2) sqrt(2 pi), (n + 1/2) sqrt(2 pi)].  Returns the
@@ -73,34 +69,28 @@ def cell_masses(sigma: float, n_max: int | None = None) -> tuple[np.ndarray, np.
     tail is negligible.
     """
     checked("sigma", sigma, "positive")
-    if n_max is None:
-        n_max = int(_n_max(sigma))
-    elif n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    ns = np.arange(-n_max, n_max + 1)
-    return ns, _masses(sigma, _cell_edges(n_max))
+    n_max = int(_n_max(sigma))
+    return np.arange(-n_max, n_max + 1), _masses(sigma, _cell_edges(n_max))
 
 
-def _lattice_sums(row_sums, spread, *per_row) -> np.ndarray:
-    # row_sums(ns, edges, spread, *per_row) sums over the cells ns = -n..n
-    # with boundaries `edges`, each per-row value given as a column; the
-    # per-row values broadcast to spread's shape.  Rows are grouped by
-    # lattice size so that each sums exactly the cells of a lone call, in
-    # the same order: padding to a common lattice would change numpy's
-    # pairwise summation and so the last bits.  Returns an array of
-    # spread's shape.
+def _lattice_sums(spread, step) -> np.ndarray:
+    # sum_n w_n (step n)^2 over the cells of N(0, spread^2), one sum per
+    # element of spread, with step broadcast to spread's shape.  Rows are
+    # grouped by lattice size so that each sums exactly the cells of a lone
+    # call, in the same order: padding to a common lattice would change
+    # numpy's pairwise summation and so the last bits.  vecdot reduces each
+    # row bit for bit as the 1-d w @ (mu * mu) does, where einsum and
+    # sum(-1) do not
     shape = np.shape(spread)
-    columns = [
-        (v if np.shape(v) == shape else np.broadcast_to(v, shape)).reshape(-1, 1)
-        for v in (spread, *per_row)
-    ]
-    n_max = _n_max(columns[0][:, 0])
+    spread = spread.reshape(-1, 1)
+    step = (step if np.shape(step) == shape else np.broadcast_to(step, shape)).reshape(-1, 1)
+    n_max = _n_max(spread[:, 0])
     out = np.empty(n_max.shape)
     one_size = n_max.size <= 1 or (n_max == n_max[0]).all()
     for n in n_max[:1] if one_size else np.unique(n_max):
         rows = slice(None) if one_size else n_max == n
-        ns, edges = np.arange(-n, n + 1), _cell_edges(n)
-        out[rows] = row_sums(ns, edges, *(v[rows] for v in columns))
+        mu = step[rows] * np.arange(-n, n + 1)
+        out[rows] = np.vecdot(_masses(spread[rows], _cell_edges(n)), mu * mu)
     return out.reshape(shape)
 
 
@@ -181,13 +171,10 @@ def single_read_laws(code: CodeSpec, sigma: float) -> tuple[MixturePdf, MixtureP
     with feed-forward or with two reads for one data quadrature.
     """
     checked("sigma", sigma, "positive")
-    return _single_read_laws(Decoder.for_code(code, sigma), inverse(code.encoder).matrix, sigma)
-
-
-def _single_read_laws(dec: Decoder, t: np.ndarray, sigma: float) -> tuple[MixturePdf, MixturePdf]:
-    # `single_read_laws` from the code's decoder and S^{-1} = t
+    dec = Decoder.for_code(code, sigma)
     if any(read.feed_forward for read in dec.reads):
         raise ValueError("single_read_laws needs a decoder without feed-forward")
+    t = inverse(code.encoder).matrix
     t2 = 2.0 * dec.sigma_gkp * dec.sigma_gkp
     laws = []
     for data, weights in ((t[0], dec.c_q), (t[1], dec.c_p)):
@@ -206,24 +193,6 @@ def _single_read_laws(dec: Decoder, t: np.ndarray, sigma: float) -> tuple[Mixtur
         ns, w = cell_masses(math.sqrt(sigma * sigma * (read @ read) + t2))
         laws.append(MixturePdf(w, c * _P * ns, base))
     return laws[0], laws[1]
-
-
-def tms_mixture(sigma: float, gain: float) -> MixturePdf:
-    """Logical noise distribution of the two-mode squeezing code.
-
-    Both quadratures follow the same law: a Gaussian of width
-    sigma/sqrt(2G-1) displaced to mu_n = 2 sqrt(G(G-1))/(2G-1) *
-    sqrt(2 pi) n with probability given by the cell masses of the
-    amplified syndrome (`single_read_laws` of `codes.gkp_tms(gain)`).
-    """
-    return single_read_laws(gkp_tms(gain), sigma)[0]
-
-
-def _shift_sums(ns, edges, spread, step):
-    # sum_n w_n mu_n^2 with mu_n = step * n; vecdot reduces each row bit for
-    # bit as the 1-d w @ (mu * mu) does, where einsum and sum(-1) do not
-    mu = step * ns
-    return np.vecdot(_masses(spread, edges), mu * mu)
 
 
 def _tms_lattice(sigma, g, sigma_gkp: float):
@@ -251,7 +220,7 @@ def _tms_lattice(sigma, g, sigma_gkp: float):
             # sigma^2 and spread = sqrt(2) sigma_gkp; the step is then zero
             k = np.where(wide, two_g * sigma * sigma, k)
             spread = np.where(wide, math.sqrt(t2), spread)
-        total = k + _lattice_sums(_shift_sums, spread, w * _P / q1)
+        total = k + _lattice_sums(spread, w * _P / q1)
     failed = ~np.isfinite(total)
     if failed.any():
         at = np.flatnonzero(failed)[0]
@@ -318,61 +287,37 @@ def tms_variance_noisy_gkp(sigma, sigma_gkp: float, gain):
     """
     shape, sigma, g = _sigma_gain(sigma, gain, "nonnegative")
     checked("sigma_gkp", sigma_gkp, "nonnegative")
-    if np.count_nonzero(sigma) != np.size(sigma):
-        out = np.zeros(shape)
-        live = np.broadcast_to(sigma > 0, shape)
-        if live.any():
-            out[live] = tms_variance_noisy_gkp(
-                np.broadcast_to(sigma, shape)[live], sigma_gkp,
-                np.broadcast_to(g, shape)[live],
-            )
-        return shaped(out, shape)
-    return shaped(_tms_lattice(sigma, g, sigma_gkp), shape)
-
-
-def gkp_repetition_pdfs(xi, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Densities of the logical (position, momentum) noise of the
-    two-mode GKP repetition code, evaluated at the points `xi`.
-
-    Both are cell-mass mixtures: Gaussians of width sigma/sqrt(2) at
-    half-period shifts weighted by the cells of N(0, 2 sigma^2), and of
-    width sigma at full-period shifts weighted by the cells of
-    N(0, sigma^2).  For sigma << 1 only the central cell carries weight:
-    the paper's logical spreads sigma/sqrt(2) and sigma.  The outer
-    pieces are syndromes that wrapped into a neighbouring cell.
-    """
-    return tuple(law.pdf(xi) for law in _gkp_repetition_laws(sigma))
+    # rows of a noiseless channel are summed at sigma = G = 1, whose lattice
+    # is small at any gain, and then zeroed; each row sums only its own
+    # cells, so the others keep their bits.  [()] keeps a single value a
+    # numpy scalar, as _sigma_gain gave it
+    live = sigma > 0
+    total = _tms_lattice(
+        np.where(live, sigma, 1.0)[()], np.where(live, g, 1.0)[()], sigma_gkp
+    )
+    return shaped(np.where(live, total, 0.0), shape)
 
 
 def gkp_repetition_stds(sigma: float) -> tuple[float, float]:
-    """Standard deviations of the two densities above, in closed form.
+    """Logical (position, momentum) standard deviations of the two-mode
+    GKP repetition code with ideal ancillas at channel noise sigma.
 
-    With w_n the mass of cell n under N(0, 2 sigma^2) for position and
-    N(0, sigma^2) for momentum (see `cell_masses`), the variances are
+    Both laws are cell-mass mixtures (`single_read_laws`): Gaussians of
+    width sigma/sqrt(2) at half-period shifts weighted by the cells of
+    N(0, 2 sigma^2), and of width sigma at full-period shifts weighted by
+    the cells of N(0, sigma^2).  With w_n those masses (see
+    `cell_masses`), the variances are
 
         var_q = sigma^2 / 2 + (pi / 2) sum_n n^2 w_n
         var_p = sigma^2 + 2 pi sum_n n^2 w_n.
 
-    For sigma << 1 the spreads tend to the paper's values sigma/sqrt(2)
-    and sigma.  The excess is the wrap term: a syndrome that leaves the
-    central cell shifts the position output by half a period and the
-    momentum output by a full period.  To leading order it adds
-    (pi / 2) erfc(sqrt(2 pi) / (4 sigma)) to var_q and
-    2 pi erfc(sqrt(2 pi) / (2 sqrt(2) sigma)) to var_p; in sigma_q that is
-    +5.3% at sigma = 0.3 and +0.04% at sigma = 0.2.
+    For sigma << 1 only the central cell carries weight and the spreads
+    tend to the paper's values sigma/sqrt(2) and sigma.  The excess is the
+    wrap term: a syndrome that leaves the central cell shifts the position
+    output by half a period and the momentum output by a full period.  To
+    leading order it adds (pi / 2) erfc(sqrt(2 pi) / (4 sigma)) to var_q
+    and 2 pi erfc(sqrt(2 pi) / (2 sqrt(2) sigma)) to var_p; in sigma_q that
+    is +5.3% at sigma = 0.3 and +0.04% at sigma = 0.2.
     """
-    law_q, law_p = _gkp_repetition_laws(sigma)
+    law_q, law_p = single_read_laws(gkp_repetition(), sigma)
     return math.sqrt(law_q.variance()), math.sqrt(law_p.variance())
-
-
-@functools.cache
-def _gkp_repetition_reads() -> tuple[Decoder, np.ndarray]:
-    # the ancillas are ideal, so the decoder, like S^{-1}, does not depend on
-    # the channel noise it is derived at
-    code = gkp_repetition()
-    return Decoder.for_code(code, 1.0), inverse(code.encoder).matrix
-
-
-def _gkp_repetition_laws(sigma: float) -> tuple[MixturePdf, MixturePdf]:
-    checked("sigma", sigma, "positive")
-    return _single_read_laws(*_gkp_repetition_reads(), sigma)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import single_read_laws, tms_mixture
+from .analytic import single_read_laws
 from .codes import gaussian_repetition, gkp_repetition, gkp_tms
 from .decoders import Decoder
 from .noise import stream_rng
@@ -183,7 +183,7 @@ def check_pdf_normalization(tol: float = 1e-6) -> CheckResult:
         norm_p, _ = quad(law_p.pdf, -reach, reach, points=centers_p, limit=200)
         worst = max(worst, abs(norm_q - 1.0), abs(norm_p - 1.0))
     for sigma, gain in ((0.1, 4.806), (0.3, 2.0), (0.5, 1.2)):
-        mix = tms_mixture(sigma, gain)
+        mix = single_read_laws(gkp_tms(gain), sigma)[0]
         reach = float(np.abs(mix.shifts).max() + 8 * mix.base_sigma)
         norm, _ = quad(
             mix.pdf, -reach, reach, points=list(mix.shifts), limit=200

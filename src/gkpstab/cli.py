@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import math
 import os
@@ -222,6 +223,8 @@ def cmd_appendix_d(
     measurement deep inside its unique-decoding window while the
     leading-order output noise scales like sigma^n.
     """
+    if not modes:
+        raise ValueError("modes must name at least one mode count")
     out = _CsvBuilder("gkpstab.appendix_d", config.describe())
     out.comment(f"modes={list(modes)} wrap_constant={wrap_constant:g}")
     out.row(["n", "sigma", "sigma_L_mc", "slope"])
@@ -244,13 +247,12 @@ def cmd_appendix_d(
     return out.text()
 
 
-# code name -> builder(n_modes, gain, lam, sigma_gkp) -> CodeSpec, with the
-# arguments abbreviated n, g, lam, t
+# code name -> builder, whose parameters are named as cmd_sweep's
 SWEEP_CODES = {
-    "gaussian-rep": lambda n, g, lam, t: gaussian_repetition(n),
-    "gkp-rep": lambda n, g, lam, t: gkp_repetition(t),
-    "gkp-tms": lambda n, g, lam, t: gkp_tms(g, t),
-    "squeezed-rep": lambda n, g, lam, t: gkp_squeezed_repetition(n, lam, t),
+    "gaussian-rep": gaussian_repetition,
+    "gkp-rep": gkp_repetition,
+    "gkp-tms": gkp_tms,
+    "squeezed-rep": gkp_squeezed_repetition,
 }
 
 
@@ -262,15 +264,18 @@ def cmd_sweep(
     lam: float = 2.0,
     sigma_gkp: float = 0.0,
 ) -> str:
-    """Monte Carlo summary of any built-in code over a noise grid."""
+    """Monte Carlo summary of any built-in code over a noise grid.
+
+    The header names only the parameters that the code's builder takes.
+    """
     if code_name not in SWEEP_CODES:
         raise ValueError(f"unknown code {code_name!r}")
-    code = SWEEP_CODES[code_name](n_modes, gain, lam, sigma_gkp)
+    builder = SWEEP_CODES[code_name]
+    given = {"n_modes": n_modes, "gain": gain, "lam": lam, "sigma_gkp": sigma_gkp}
+    params = {name: given[name] for name in inspect.signature(builder).parameters}
+    code = builder(**params)
     out = _CsvBuilder("gkpstab.sweep", config.describe())
-    out.comment(
-        f"code={code_name} n_modes={n_modes} gain={gain:g} lam={lam:g} "
-        f"sigma_gkp={sigma_gkp:g}"
-    )
+    out.comment(" ".join([f"code={code_name}"] + [f"{k}={v:g}" for k, v in params.items()]))
     out.row(
         ["sigma", "mean_q", "mean_p", "std_q", "std_p", "se_std_q", "se_std_p"]
     )

@@ -13,11 +13,9 @@ from gkpstab.analytic import (
     _n_max,
     cell_masses,
     gaussian_pdf,
-    gkp_repetition_pdfs,
     gkp_repetition_stds,
     single_read_laws,
     tms_asymptotic_optimum,
-    tms_mixture,
     tms_variance,
     tms_variance_erfc_approx,
     tms_variance_noisy_gkp,
@@ -45,8 +43,8 @@ def test_gaussian_pdf_matches_closed_form():
 
 
 def test_gaussian_pdf_rejects_bad_width():
-    for sigma in (0.0, -0.1, math.nan, np.array([0.2, math.nan])):
-        with pytest.raises(ValueError, match="sigma must be positive"):
+    for sigma in (0.0, -0.1, math.nan, math.inf, np.array([0.2, math.nan])):
+        with pytest.raises(ValueError, match="^sigma must be finite and positive, got"):
             gaussian_pdf(0.5, sigma)
 
 
@@ -60,13 +58,6 @@ def test_cell_masses_normalized_and_symmetric():
         assert w[mid] == w.max()
 
 
-def test_cell_masses_rejects_negative_n_max():
-    with pytest.raises(ValueError, match="^n_max must be nonnegative, got -1$"):
-        cell_masses(0.1, n_max=-1)
-    ns, w = cell_masses(0.1, n_max=0)
-    assert ns.tolist() == [0] and w.size == 1
-
-
 def test_mixture_pdf_validation():
     with pytest.raises(ValueError):
         MixturePdf(np.array([0.7, 0.2]), np.array([0.0, 1.0]), 0.1)
@@ -78,7 +69,7 @@ def test_mixture_pdf_validation():
 
 
 def test_mixture_moments_match_quadrature():
-    mix = tms_mixture(0.3, 2.0)
+    mix = single_read_laws(gkp_tms(2.0), 0.3)[0]
     reach = float(np.abs(mix.shifts).max() + 10 * mix.base_sigma)
     norm, _ = quad(mix.pdf, -reach, reach, points=list(mix.shifts), limit=200)
     second, _ = quad(
@@ -90,7 +81,7 @@ def test_mixture_moments_match_quadrature():
 
 
 def test_mixture_cdf_properties():
-    mix = tms_mixture(0.2, 3.0)
+    mix = single_read_laws(gkp_tms(3.0), 0.2)[0]
     xs = np.linspace(-4, 4, 41)
     cdf = mix.cdf(xs)
     assert np.all(np.diff(cdf) >= 0)
@@ -99,22 +90,22 @@ def test_mixture_cdf_properties():
 
 
 def test_mixture_keeps_input_shape():
-    mix = tms_mixture(0.1, 2.0)
+    mix = single_read_laws(gkp_tms(2.0), 0.1)[0]
     for fn in (mix.pdf, mix.cdf):
         assert isinstance(fn(0.3), float)
         assert isinstance(fn(np.array(0.3)), float)
         for shape in ((1,), (2, 3), (0,)):
             out = fn(np.full(shape, 0.3))
             assert isinstance(out, np.ndarray) and out.shape == shape
-    q, p = gkp_repetition_pdfs(np.full((1, 1), 0.1), 0.2)
-    assert q.shape == p.shape == (1, 1)
+    for law in single_read_laws(gkp_repetition(), 0.2):
+        assert law.pdf(np.full((1, 1), 0.1)).shape == (1, 1)
 
 
 def test_tms_mixture_structure():
     """Component shifts sit on the rescaled wrap lattice and the base
     width is the conditional residual sigma/sqrt(2G-1)."""
     sigma, gain = 0.15, 3.0
-    mix = tms_mixture(sigma, gain)
+    mix = single_read_laws(gkp_tms(gain), sigma)[0]
     c = 2.0 * math.sqrt(gain * (gain - 1.0)) / (2.0 * gain - 1.0)
     spacing = c * ROOT_2PI
     steps = np.diff(np.sort(mix.shifts))
@@ -123,7 +114,7 @@ def test_tms_mixture_structure():
 
 
 def test_tms_mixture_unit_gain():
-    mix = tms_mixture(0.25, 1.0)
+    mix = single_read_laws(gkp_tms(1.0), 0.25)[0]
     assert len(mix.weights) == 1
     assert mix.variance() == pytest.approx(0.0625, rel=1e-12)
 
@@ -136,7 +127,8 @@ def test_tms_variance_reference_value():
 def test_tms_variance_matches_mixture_route():
     for sigma, gain in ((0.05, 8.0), (0.1, 4.806), (0.3, 2.0), (0.5, 1.3)):
         direct = tms_variance(sigma, gain)
-        assert tms_mixture(sigma, gain).variance() == pytest.approx(direct, rel=1e-10)
+        law = single_read_laws(gkp_tms(gain), sigma)[0]
+        assert law.variance() == pytest.approx(direct, rel=1e-10)
 
 
 def test_tms_variance_monte_carlo_oracle():
@@ -214,20 +206,12 @@ def test_gkp_repetition_pdfs_normalized_and_even():
     for sigma in (0.1, 0.3, 0.5):
         half = ROOT_2PI / 2
         reach = 4 * half + 8 * sigma
-        for which, centers in ((0, half), (1, ROOT_2PI)):
+        laws = single_read_laws(gkp_repetition(), sigma)
+        for law, centers in zip(laws, (half, ROOT_2PI)):
             pts = [n * centers for n in range(-4, 5) if abs(n * centers) < reach]
-            norm, _ = quad(
-                lambda u: gkp_repetition_pdfs(u, sigma)[which],
-                -reach,
-                reach,
-                points=pts,
-                limit=200,
-            )
+            norm, _ = quad(law.pdf, -reach, reach, points=pts, limit=200)
             assert norm == pytest.approx(1.0, abs=1e-8)
-        q1, p1 = gkp_repetition_pdfs(0.37, sigma)
-        q2, p2 = gkp_repetition_pdfs(-0.37, sigma)
-        assert q1 == pytest.approx(q2, rel=1e-12)
-        assert p1 == pytest.approx(p2, rel=1e-12)
+            assert law.pdf(0.37) == pytest.approx(law.pdf(-0.37), rel=1e-12)
 
 
 def test_gkp_repetition_stds_reference_values():
@@ -437,11 +421,13 @@ def test_sigma_arrays_name_their_first_bad_element(bad):
 def test_noisy_sigma_array_with_noiseless_rows():
     sigmas = np.array([0.0, 0.2, 0.0, 0.4])
     gains = np.array([[2.0], [5.0]])
-    out = tms_variance_noisy_gkp(sigmas, 0.0, gains)
-    assert out.shape == (2, 4)
-    for (i, j), value in np.ndenumerate(out):
-        assert value == tms_variance_noisy_gkp(float(sigmas[j]), 0.0, float(gains[i, 0]))
-    assert not out[:, [0, 2]].any()
+    for sigma_gkp in (0.0, 0.05):
+        out = tms_variance_noisy_gkp(sigmas, sigma_gkp, gains)
+        assert out.shape == (2, 4)
+        for (i, j), value in np.ndenumerate(out):
+            lone = tms_variance_noisy_gkp(float(sigmas[j]), sigma_gkp, float(gains[i, 0]))
+            assert value == lone
+        assert not out[:, [0, 2]].any()
 
 
 def test_noisy_failure_names_the_row_sigma(monkeypatch):
@@ -449,9 +435,9 @@ def test_noisy_failure_names_the_row_sigma(monkeypatch):
 
     sums = analytic._lattice_sums
 
-    def poisoned(row_sums, spread, *per_row):
+    def poisoned(spread, step):
         # the row of sigma = 0.3 alone has a spread above 0.5 at G = 2
-        out = sums(row_sums, spread, *per_row)
+        out = sums(spread, step)
         return np.where(spread > 0.5, np.nan, out)
 
     monkeypatch.setattr(analytic, "_lattice_sums", poisoned)
@@ -489,8 +475,8 @@ def test_variances_reject_non_finite_input(bad):
         (lambda: tms_variance_noisy_gkp(0.1, 0.05, [[2.0], [bad]]), "gain"),
         (lambda: tms_variance_noisy_gkp(bad, 0.05, 2.0), "sigma"),
         (lambda: tms_variance_noisy_gkp(0.1, bad, 2.0), "sigma_gkp"),
-        (lambda: tms_mixture(0.1, bad), "gain"),
-        (lambda: tms_mixture(bad, 2.0), "sigma"),
+        (lambda: single_read_laws(gkp_tms(bad), 0.1), "gain"),
+        (lambda: single_read_laws(gkp_tms(2.0), bad), "sigma"),
         (lambda: cell_masses(bad), "sigma"),
     ]
     for call, name in calls:

@@ -199,6 +199,12 @@ def test_appendix_d_slopes():
     assert slopes[3] == pytest.approx(3.0, abs=0.1)
 
 
+def test_appendix_d_rejects_empty_modes():
+    config = ExperimentConfig("appendix-d", points=2, n_trials=10)
+    with pytest.raises(ValueError, match="^modes must name at least one mode count$"):
+        cmd_appendix_d(config, modes=())
+
+
 def test_sweep_gaussian_repetition():
     config = ExperimentConfig(
         "sweep", sigma_min=0.2, sigma_max=0.4, points=2, n_trials=30_000, seed=6
@@ -220,6 +226,26 @@ def test_sweep_runs_every_registered_code(code_name):
     header, rows = _rows(text)
     assert len(header) == 7 and len(rows) == 2
     assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+
+@pytest.mark.parametrize(
+    "code_name, params",
+    [
+        ("gaussian-rep", "n_modes=2"),
+        ("gkp-rep", "sigma_gkp=0"),
+        ("gkp-tms", "gain=9 sigma_gkp=0"),
+        ("squeezed-rep", "n_modes=2 lam=2 sigma_gkp=0"),
+    ],
+)
+def test_sweep_header_names_only_the_builder_parameters(code_name, params, capsys):
+    argv = ["sweep", "--code", code_name, "--points", "2", "--trials", "200"]
+    main(argv + ["--gain", "9"])
+    lines = capsys.readouterr().out.split("\r\n")
+    assert lines[2] == f"# code={code_name} {params}"
+    if code_name != "gkp-tms":
+        # a flag the builder does not take leaves the data rows as they are
+        main(argv)
+        assert capsys.readouterr().out.split("\r\n")[3:] == lines[3:]
 
 
 def test_config_validation():

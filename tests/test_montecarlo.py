@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gkpstab.analytic import gkp_repetition_pdfs, single_read_laws, tms_mixture
+from gkpstab.analytic import single_read_laws
 from gkpstab.codes import (
     gaussian_repetition,
     gkp_repetition,
@@ -138,7 +138,7 @@ def test_compare_needs_a_histogram():
     rep = run(gkp_tms(gain), gkp_tms_decoder(gain, sigma), sigma, 2_000, seed=8,
               histogram=False)
     with pytest.raises(ValueError, match="no histogram"):
-        compare(rep, tms_mixture(sigma, gain))
+        compare(rep, single_read_laws(gkp_tms(gain), sigma)[0])
 
 
 def test_known_spreads_and_errors():
@@ -163,7 +163,7 @@ def test_compare_accepts_matching_mixture():
     sigma, gain = 0.15, 3.0
     code = gkp_tms(gain)
     rep = run(code, gkp_tms_decoder(gain, sigma), sigma, 400_000, seed=8)
-    result = compare(rep, tms_mixture(sigma, gain), quadrature="q")
+    result = compare(rep, single_read_laws(code, sigma)[0], quadrature="q")
     assert result.passed
     assert result.ks_stat < result.ks_threshold
     assert abs(result.z_mean) < 5 and abs(result.z_var) < 5
@@ -173,7 +173,7 @@ def test_compare_rejects_wrong_model():
     sigma, gain = 0.15, 3.0
     code = gkp_tms(gain)
     rep = run(code, gkp_tms_decoder(gain, sigma), sigma, 400_000, seed=8)
-    wrong = compare(rep, tms_mixture(sigma * 1.25, gain), quadrature="q")
+    wrong = compare(rep, single_read_laws(code, sigma * 1.25)[0], quadrature="q")
     assert not wrong.passed
 
 
@@ -188,7 +188,7 @@ def test_compare_with_plain_density_callable():
 def test_compare_takes_only_a_mixture():
     rep = run(gkp_repetition(), gkp_repetition_decoder(), 0.2, 1_000, seed=10)
     with pytest.raises(TypeError, match="model must be a MixturePdf, got function"):
-        compare(rep, lambda u: gkp_repetition_pdfs(u, 0.2)[0])
+        compare(rep, lambda u: single_read_laws(gkp_repetition(), 0.2)[0].pdf(u))
 
 
 def test_only_the_checks_integrate_numerically():
@@ -223,7 +223,7 @@ def test_invalid_arguments():
         run(code, dec, -0.1, 100, seed=1)
     rep = run(code, dec, 0.1, 1000, seed=1)
     with pytest.raises(ValueError):
-        compare(rep, tms_mixture(0.1, 2.0), quadrature="x")
+        compare(rep, single_read_laws(gkp_tms(2.0), 0.1)[0], quadrature="x")
 
 
 def test_non_finite_sigma_rejected():

@@ -66,3 +66,88 @@ def test_sources_import_only_what_they_use():
     src = Path(__file__).resolve().parents[1] / "src" / "gkpstab"
     faults = [fault for path in sorted(src.glob("*.py")) for fault in _import_faults(path)]
     assert faults == []
+
+
+
+def _named(obj) -> str:
+    return getattr(obj, "__name__", repr(obj))
+
+
+def _perfbench_faults(path: Path) -> list:
+    # each gkpstab name that a benchmark script imports, reads, sets or
+    # patches and that the package does not have
+    tree = ast.parse(path.read_text())
+    bound, faults = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [(alias.name, None, alias.asname) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [(node.module, alias.name, alias.asname) for alias in node.names]
+        else:
+            continue
+        for module, attr, asname in names:
+            if module.split(".")[0] != "gkpstab":
+                continue
+            try:
+                found = importlib.import_module(module)
+                if attr is None:
+                    bound[asname or "gkpstab"] = found if asname else gkpstab
+                elif hasattr(found, attr):
+                    bound[asname or attr] = getattr(found, attr)
+                else:
+                    # a submodule, which `from package import name` loads
+                    bound[asname or attr] = importlib.import_module(f"{module}.{attr}")
+            except ImportError as exc:
+                faults.append(f"{path.name}:{node.lineno} {exc}")
+
+    def resolve(node):
+        # the package object that `node` names, or None
+        if isinstance(node, ast.Name):
+            return bound.get(node.id)
+        if not isinstance(node, ast.Attribute):
+            return None
+        owner = resolve(node.value)
+        if owner is None:
+            return None
+        if not hasattr(owner, node.attr):
+            faults.append(f"{path.name}:{node.lineno} uses {_named(owner)}.{node.attr}")
+        return getattr(owner, node.attr, None)
+
+    # each attribute chain once, from its outermost attribute
+    inner = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and id(node) not in inner:
+            resolve(node)
+
+    # tracer.patch(module, "name", ...), with the name a string or the
+    # variable of an enclosing loop over literal strings
+    def is_patch(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "patch" and len(node.args) >= 2)
+
+    looped = {}
+    for loop in ast.walk(tree):
+        if (isinstance(loop, ast.For) and isinstance(loop.target, ast.Name)
+                and isinstance(loop.iter, (ast.Tuple, ast.List))):
+            for call in filter(is_patch, ast.walk(loop)):
+                if isinstance(call.args[1], ast.Name) and call.args[1].id == loop.target.id:
+                    looped[id(call)] = [getattr(elt, "value", None) for elt in loop.iter.elts]
+    for call in filter(is_patch, ast.walk(tree)):
+        owner, name = resolve(call.args[0]), call.args[1]
+        if owner is None:
+            continue
+        names = [name.value] if isinstance(name, ast.Constant) else looped.get(id(call), [None])
+        for attr in names:
+            if not (isinstance(attr, str) and hasattr(owner, attr)):
+                faults.append(f"{path.name}:{call.lineno} patches {_named(owner)}.{attr}")
+    return faults
+
+
+def test_benchmark_scripts_use_only_names_the_package_has():
+    # the benchmark is not edited with the package, so a deleted or renamed
+    # name would otherwise break it unseen
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    scripts = sorted(bench.glob("*.py"))
+    assert scripts
+    faults = [fault for path in scripts for fault in _perfbench_faults(path)]
+    assert faults == []
