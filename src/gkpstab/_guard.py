@@ -1,5 +1,6 @@
 """The rule for real arguments (finite, and positive, nonnegative, >= 1 or
-> 1) and the shape rule for results (a float for 0-d, else an array)."""
+> 1, or finite alone) and the shape rule for results (a float for 0-d,
+else an array)."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ _BOUNDS = {
     "nonnegative": (0.0, False),
     ">= 1": (1.0, False),
     "> 1": (1.0, True),
+    "finite": (-math.inf, True),
 }
 
 
@@ -31,7 +33,8 @@ def checked(name: str, value, kind: str):
         if np.count_nonzero(ok) == ok.size:
             return value
         bad = np.extract(~ok, v)[0]
-    raise ValueError(f"{name} must be finite and {kind}, got {bad}")
+    rule = kind if kind == "finite" else f"finite and {kind}"
+    raise ValueError(f"{name} must be {rule}, got {bad}")
 
 
 def shaped(values: np.ndarray, shape):

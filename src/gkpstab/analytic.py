@@ -33,6 +33,9 @@ __all__ = [
 ]
 
 _P = MODULAR_PERIOD
+# the most lattice cells either side of zero that a law may sum; optimize's
+# gain grid needs at most 7
+_N_MAX_LIMIT = 10**6
 
 
 def gaussian_pdf(x, sigma):
@@ -42,10 +45,31 @@ def gaussian_pdf(x, sigma):
     return np.exp(-(x * x) / (2.0 * sigma * sigma)) / np.sqrt(2.0 * math.pi * sigma * sigma)
 
 
-def _n_max(spread):
+def _n_max(spread, **named):
     # keep cells out to 8 standard deviations so the discarded lattice
-    # mass stays below the 1e-10 budget of the mixture weights
-    return np.maximum(np.ceil(8.0 * spread / _P).astype(np.intp) + 1, 5)
+    # mass stays below the 1e-10 budget of the mixture weights.  A lattice
+    # wider than _N_MAX_LIMIT cells a side is refused before it is built,
+    # naming the inputs in `named` (each broadcast against spread) of the
+    # first spread that asks for one
+    n_max = np.maximum(np.ceil(8.0 * spread / _P) + 1, 5)
+    too_wide = ~(n_max <= _N_MAX_LIMIT)
+    if too_wide.any():
+        at = np.flatnonzero(too_wide)[0]
+        inputs = ", ".join(
+            f"{name}={np.broadcast_to(value, np.shape(spread)).flat[at]}"
+            for name, value in named.items()
+        )
+        raise ValueError(
+            f"{inputs} needs {np.ravel(n_max)[at]:.0f} lattice cells either side "
+            f"of zero, more than the limit of {_N_MAX_LIMIT}"
+        )
+    return n_max.astype(np.intp)
+
+
+def _cells(spread, **named):
+    # indices and masses of the cells of N(0, spread^2); `named` as in _n_max
+    n_max = int(_n_max(spread, **named))
+    return np.arange(-n_max, n_max + 1), _masses(spread, _cell_edges(n_max))
 
 
 def _cell_edges(n_max) -> np.ndarray:
@@ -69,22 +93,21 @@ def cell_masses(sigma: float) -> tuple[np.ndarray, np.ndarray]:
     tail is negligible.
     """
     checked("sigma", sigma, "positive")
-    n_max = int(_n_max(sigma))
-    return np.arange(-n_max, n_max + 1), _masses(sigma, _cell_edges(n_max))
+    return _cells(sigma, sigma=sigma)
 
 
-def _lattice_sums(spread, step) -> np.ndarray:
+def _lattice_sums(spread, step, **named) -> np.ndarray:
     # sum_n w_n (step n)^2 over the cells of N(0, spread^2), one sum per
     # element of spread, with step broadcast to spread's shape.  Rows are
     # grouped by lattice size so that each sums exactly the cells of a lone
     # call, in the same order: padding to a common lattice would change
     # numpy's pairwise summation and so the last bits.  vecdot reduces each
     # row bit for bit as the 1-d w @ (mu * mu) does, where einsum and
-    # sum(-1) do not
+    # sum(-1) do not.  `named` as in _n_max
     shape = np.shape(spread)
+    n_max = _n_max(spread, **named).reshape(-1)
     spread = spread.reshape(-1, 1)
     step = (step if np.shape(step) == shape else np.broadcast_to(step, shape)).reshape(-1, 1)
-    n_max = _n_max(spread[:, 0])
     out = np.empty(n_max.shape)
     one_size = n_max.size <= 1 or (n_max == n_max[0]).all()
     for n in n_max[:1] if one_size else np.unique(n_max):
@@ -124,6 +147,7 @@ class MixturePdf:
             raise ValueError("weights and shifts must be matching 1-d arrays")
         if np.any(w < 0):
             raise ValueError("mixture weights must be nonnegative")
+        checked("shifts", s, "finite")
         total = w.sum()
         if not (1.0 - 1e-10 <= total <= 1.0 + 1e-12):
             raise ValueError(f"mixture weights sum to {total}, expected 1")
@@ -190,7 +214,8 @@ def single_read_laws(code: CodeSpec, sigma: float) -> tuple[MixturePdf, MixtureP
         if c == 0.0 or dec.exact:
             laws.append(MixturePdf(np.ones(1), np.zeros(1), base))
             continue
-        ns, w = cell_masses(math.sqrt(sigma * sigma * (read @ read) + t2))
+        spread = math.sqrt(sigma * sigma * (read @ read) + t2)
+        ns, w = _cells(spread, sigma=sigma, sigma_gkp=dec.sigma_gkp)
         laws.append(MixturePdf(w, c * _P * ns, base))
     return laws[0], laws[1]
 
@@ -220,7 +245,9 @@ def _tms_lattice(sigma, g, sigma_gkp: float):
             # sigma^2 and spread = sqrt(2) sigma_gkp; the step is then zero
             k = np.where(wide, two_g * sigma * sigma, k)
             spread = np.where(wide, math.sqrt(t2), spread)
-        total = k + _lattice_sums(spread, w * _P / q1)
+        total = k + _lattice_sums(
+            spread, w * _P / q1, sigma=sigma, sigma_gkp=sigma_gkp, gain=g
+        )
     failed = ~np.isfinite(total)
     if failed.any():
         at = np.flatnonzero(failed)[0]

@@ -17,8 +17,7 @@ import numpy as np
 from ._guard import checked
 from .analytic import MixturePdf
 from .codes import CodeSpec
-from .noise import draw_normal, stream_rng
-from .symplectic import inverse
+from .noise import draw_normal, reshape_noise, stream_rng
 
 __all__ = ["TrialReport", "ComparisonReport", "run", "compare"]
 
@@ -89,36 +88,30 @@ def _histogram(x, edges):
     return np.append(counts, below + above)
 
 
-def _decoded(code, decoder, t_inv, sigma, seed, stream, count):
-    # decoder outcome of `count` trials drawn from the stream (seed, stream)
+def _decoded(code, decoder, sigma, seed, stream, count):
+    # decoder outcome of `count` trials drawn from the stream (seed, stream);
+    # no name holds the raw draw, so it is freed before the decoder runs
     gen = stream_rng(seed, stream)
-    z = draw_normal(gen, sigma, (count, 2 * code.n_modes)) @ t_inv
+    z = reshape_noise(code.encoder, draw_normal(gen, sigma, (count, 2 * code.n_modes)))
     return decoder(z, gen)
 
 
-def _block(code, decoder, t_inv, sigma, seed, index, count, edges):
-    out = _decoded(code, decoder, t_inv, sigma, seed, index, count)
-    xi_q = np.asarray(out.xi_q, dtype=float)
-    xi_p = np.asarray(out.xi_p, dtype=float)
-    if edges is None:
-        return _moment_sums(xi_q), _moment_sums(xi_p), None, None
-    return (
-        _moment_sums(xi_q),
-        _moment_sums(xi_p),
-        _histogram(xi_q, edges),
-        _histogram(xi_p, edges),
-    )
+def _block(code, decoder, sigma, seed, index, count, edges):
+    # one partial: the moment sums of q and of p, then, with a histogram, the
+    # counts and outside count of q and of p
+    out = _decoded(code, decoder, sigma, seed, index, count)
+    xs = [np.asarray(x, dtype=float) for x in (out.xi_q, out.xi_p)]
+    parts = [_moment_sums(x) for x in xs]
+    if edges is not None:
+        parts += [_histogram(x, edges) for x in xs]
+    return np.concatenate(parts)
 
 
-def _pilot_edges(code, decoder, t_inv, sigma, seed):
+def _pilot_edges(code, decoder, sigma, seed):
     # histogram bins reaching six spreads of a pilot run on its own stream
-    out = _decoded(code, decoder, t_inv, sigma, seed, _PILOT_STREAM, _PILOT_TRIALS)
+    out = _decoded(code, decoder, sigma, seed, _PILOT_STREAM, _PILOT_TRIALS)
     reach = 6.0 * max(sigma, float(np.std(out.xi_q)), float(np.std(out.xi_p)), 1e-9)
     return np.linspace(-reach, reach, _N_BINS + 1)
-
-
-def _split(hist):
-    return (None, None) if hist is None else (hist[:-1], int(hist[-1]))
 
 
 def _summary(n, sums):
@@ -161,41 +154,30 @@ def run(
     if shards < 1:
         raise ValueError(f"shards must be positive, got {shards}")
     checked("sigma", sigma, "nonnegative")
-    t_inv = inverse(code.encoder).matrix.T.copy()
-    edges = _pilot_edges(code, decoder, t_inv, sigma, seed) if histogram else None
+    edges = _pilot_edges(code, decoder, sigma, seed) if histogram else None
 
     starts = range(0, n_trials, BLOCK_SIZE)
     jobs = [(i, min(BLOCK_SIZE, n_trials - s)) for i, s in enumerate(starts)]
     workers = min(shards, len(jobs))
     if workers == 1:
-        partials = [
-            _block(code, decoder, t_inv, sigma, seed, i, c, edges) for i, c in jobs
-        ]
+        partials = [_block(code, decoder, sigma, seed, i, c, edges) for i, c in jobs]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_block, code, decoder, t_inv, sigma, seed, i, c, edges)
+                pool.submit(_block, code, decoder, sigma, seed, i, c, edges)
                 for i, c in jobs
             ]
             partials = [f.result() for f in futures]
 
-    sums_q = np.zeros(4)
-    sums_p = np.zeros(4)
-    hist_q = hist_p = None
+    # summed in block order; the counts stay exact as floats below 2^53
+    totals = sum(partials, 0.0)
+    mean_q, std_q, se_mq, se_sq, se_vq = _summary(n_trials, totals[:4])
+    mean_p, std_p, se_mp, se_sp, se_vp = _summary(n_trials, totals[4:8])
+    counts_q = counts_p = outside_q = outside_p = None
     if histogram:
-        hist_q = np.zeros(_N_BINS + 1, dtype=np.int64)
-        hist_p = np.zeros(_N_BINS + 1, dtype=np.int64)
-    for mq, mp, hq, hp in partials:
-        sums_q += mq
-        sums_p += mp
-        if histogram:
-            hist_q += hq
-            hist_p += hp
-    counts_q, outside_q = _split(hist_q)
-    counts_p, outside_p = _split(hist_p)
-
-    mean_q, std_q, se_mq, se_sq, se_vq = _summary(n_trials, sums_q)
-    mean_p, std_p, se_mp, se_sp, se_vp = _summary(n_trials, sums_p)
+        hist_q, hist_p = totals[8:].astype(np.int64).reshape(2, _N_BINS + 1)
+        counts_q, outside_q = hist_q[:-1], int(hist_q[-1])
+        counts_p, outside_p = hist_p[:-1], int(hist_p[-1])
     return TrialReport(
         n_trials=n_trials,
         seed=seed,

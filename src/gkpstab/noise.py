@@ -3,7 +3,8 @@
 The iid channel adds independent N(0, sigma^2) noise to all 2N
 quadratures.  Conjugating the channel by an encoding circuit S turns a
 noise draw xi into the reshaped noise z = S^{-1} xi, with covariance
-S^{-1} V S^{-T}.
+sigma^2 S^{-1} S^{-T}.  Monte Carlo reshapes each block of draws through
+`reshape_noise`.
 """
 
 from __future__ import annotations
@@ -14,17 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._guard import checked
-from .symplectic import SymplecticTransform, inverse
+from .symplectic import SymplecticTransform, apply, inverse
 
 __all__ = [
     "IidNoiseModel",
-    "NoiseCovariance",
     "stream_rng",
     "draw_normal",
     "sample_iid",
     "reshape_noise",
-    "iid_covariance",
-    "propagate_covariance",
     "loss_to_sigma",
     "gkp_sigma_from_delta",
     "gkp_sigma_from_db",
@@ -43,30 +41,6 @@ class IidNoiseModel:
         checked("sigma", self.sigma, "nonnegative")
         if self.n_modes < 1:
             raise ValueError(f"need at least one mode, got {self.n_modes}")
-
-
-@dataclass(frozen=True, eq=False)
-class NoiseCovariance:
-    """Symmetric positive-semidefinite covariance of a 2N quadrature vector."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
-            raise ValueError(f"covariance must be 2N x 2N, got shape {m.shape}")
-        scale = max(1.0, np.abs(m).max())
-        if np.abs(m - m.T).max() > 1e-10 * scale:
-            raise ValueError("covariance must be symmetric")
-        m = 0.5 * (m + m.T)
-        if np.linalg.eigvalsh(m).min() < -1e-10 * scale:
-            raise ValueError("covariance must be positive semidefinite")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def n_modes(self) -> int:
-        return self.matrix.shape[0] // 2
 
 
 def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -100,27 +74,7 @@ def sample_iid(model: IidNoiseModel, seed: int, count: int, stream: int = 0) -> 
 
 def reshape_noise(encoder: SymplecticTransform, xi: np.ndarray) -> np.ndarray:
     """Reshaped noise z = S^{-1} xi for noise vectors of shape (..., 2N)."""
-    x = np.asarray(xi, dtype=float)
-    if x.shape[-1] != 2 * encoder.n_modes:
-        raise ValueError(
-            f"noise length {x.shape[-1]} does not match {encoder.n_modes} modes"
-        )
-    return x @ inverse(encoder).matrix.T
-
-
-def iid_covariance(model: IidNoiseModel) -> NoiseCovariance:
-    """Covariance sigma^2 I of the iid channel."""
-    return NoiseCovariance(model.sigma**2 * np.eye(2 * model.n_modes))
-
-
-def propagate_covariance(encoder: SymplecticTransform, cov: NoiseCovariance) -> NoiseCovariance:
-    """Covariance of the reshaped noise, S^{-1} V S^{-T}."""
-    if cov.n_modes != encoder.n_modes:
-        raise ValueError(
-            f"covariance is for {cov.n_modes} modes, encoder for {encoder.n_modes}"
-        )
-    t = inverse(encoder).matrix
-    return NoiseCovariance(t @ cov.matrix @ t.T)
+    return apply(inverse(encoder), xi)
 
 
 def loss_to_sigma(gamma: float) -> float:

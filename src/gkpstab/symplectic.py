@@ -221,7 +221,10 @@ def apply(transform: SymplecticTransform, vec: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"vector length {v.shape[-1]} does not match {transform.n_modes} modes"
         )
-    return v @ transform.matrix.T
+    # a C-ordered copy of S^T: numpy sends a one-row batch to gemv, which
+    # rounds differently for a transposed view, so only the copy gives each
+    # row the bits it has in a batch of any size
+    return v @ transform.matrix.T.copy()
 
 
 def direct_sum(a: SymplecticTransform, b: SymplecticTransform) -> SymplecticTransform:

@@ -187,10 +187,18 @@ def threshold_sigma(sigma_gkp: float = 0.0, tol: float = 1e-4):
             break
     else:
         return None
-    lo, hi = float(scan[first]), float(scan[max(first - 1, 0)])
+    return _bisect(
+        float(scan[first]), float(scan[max(first - 1, 0)]), tol,
+        lambda mid: optimize(mid, sigma_gkp, "noisy_gkp").g_star > 1.0,
+    )
+
+
+def _bisect(lo, hi, tol, raises_lo):
+    # halve [lo, hi] until it is no wider than tol and return its midpoint;
+    # raises_lo(mid) says whether mid becomes the new lo or the new hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if optimize(mid, sigma_gkp, "noisy_gkp").g_star > 1.0:
+        if raises_lo(mid):
             lo = mid
         else:
             hi = mid
@@ -214,10 +222,4 @@ def critical_gkp_squeezing_db(tol_db: float = 0.01) -> float:
         raise RuntimeError("search bracket too narrow at the low end")
     if not _any_window(gkp_sigma_from_db(hi)):
         raise RuntimeError("search bracket too narrow at the high end")
-    while hi - lo > tol_db:
-        mid = 0.5 * (lo + hi)
-        if _any_window(gkp_sigma_from_db(mid)):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lo, hi, tol_db, lambda mid: not _any_window(gkp_sigma_from_db(mid)))

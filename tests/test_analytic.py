@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,48 @@ def test_mixture_pdf_validation():
     for base_sigma in (0.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="base_sigma must be finite"):
             MixturePdf(np.array([0.5, 0.5]), np.array([0.0, 1.0]), base_sigma)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_mixture_pdf_rejects_non_finite_shifts(bad):
+    with pytest.raises(ValueError, match=f"^shifts must be finite, got {bad}$"):
+        MixturePdf(np.ones(1), np.array([bad]), 1.0)
+    with pytest.raises(ValueError, match=f"^shifts must be finite, got {bad}$"):
+        MixturePdf(np.full(3, 1 / 3), np.array([0.0, bad, math.nan]), 1.0)
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda: tms_variance(0.1, 1e20), "sigma=0.1, sigma_gkp=0.0, gain=1e+20"),
+        (lambda: tms_variance(0.1, np.array([2.0, 1e20])),
+         "sigma=0.1, sigma_gkp=0.0, gain=1e+20"),
+        (lambda: tms_variance_noisy_gkp(np.array([0.2, 0.1]), 0.05, 1e20),
+         "sigma=0.2, sigma_gkp=0.05, gain=1e+20"),
+        (lambda: gkp_repetition_stds(1e10), "sigma=10000000000.0, sigma_gkp=0.0"),
+        (lambda: cell_masses(1e10), "sigma=10000000000.0"),
+    ],
+)
+def test_lattice_size_is_bounded(monkeypatch, call, named):
+    # the sizing check must come first: a lattice past the bound would
+    # ask for tens of GB, so both the sizing and the edges are guarded here
+    import gkpstab.analytic as analytic
+
+    n_max, cell_edges = analytic._n_max, analytic._cell_edges
+
+    def sized(spread, **inputs):
+        out = n_max(spread, **inputs)
+        assert (np.asarray(out) <= 10**6).all(), "lattice sized past the bound"
+        return out
+
+    def edges(n):
+        assert n <= 10**6, "lattice built past the bound"
+        return cell_edges(n)
+
+    monkeypatch.setattr(analytic, "_n_max", sized)
+    monkeypatch.setattr(analytic, "_cell_edges", edges)
+    with pytest.raises(ValueError, match=f"^{re.escape(named)} needs .* lattice cells"):
+        call()
 
 
 def test_mixture_moments_match_quadrature():
@@ -435,9 +478,9 @@ def test_noisy_failure_names_the_row_sigma(monkeypatch):
 
     sums = analytic._lattice_sums
 
-    def poisoned(spread, step):
+    def poisoned(spread, step, **named):
         # the row of sigma = 0.3 alone has a spread above 0.5 at G = 2
-        out = sums(spread, step)
+        out = sums(spread, step, **named)
         return np.where(spread > 0.5, np.nan, out)
 
     monkeypatch.setattr(analytic, "_lattice_sums", poisoned)

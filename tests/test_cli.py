@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -93,6 +94,49 @@ def test_csv_identical_for_any_shard_count(experiment, points):
     one = text(1)
     for shards in (2, 3, 5):
         assert text(shards) == one
+
+
+# sha256 of each CSV at seed 7; a change that moves any byte must say so
+_PINNED_CSV = [
+    pytest.param("fig3 --points 4 --trials 5000",
+                 "1014cb95bd4351a6d396da505bd8ee2de7e833a6fd57dc596ba7d401bcbd86fe",
+                 id="fig3"),
+    pytest.param("fig45 --points 4",
+                 "75cdf51cec53d96be8a16b29886f04f7030892706ee20549fe37500ba86ca7dd",
+                 id="fig45"),
+    pytest.param("fig8 --points 3 --gkp-db 11 --gkp-db inf",
+                 "396d9c8ae60c193ad34003ee98992d9f34ef5759122762e564c7110d30dfa2ad",
+                 id="fig8"),
+    pytest.param("appendix-d --points 3 --trials 5000 --modes 2 --modes 3 --modes 5",
+                 "208a4e124336be753e9ee82f09fe3bf33a9276a218ca43b1aa18ed710c171d54",
+                 id="appendix-d"),
+    pytest.param("sweep --points 3 --trials 5000 --code gaussian-rep",
+                 "7de556218b9659cde72d1b5c8ba6969f7449b8eadca201f27cf7ca3c7487328d",
+                 id="sweep-gaussian-rep"),
+    pytest.param("sweep --points 3 --trials 5000 --code gkp-rep",
+                 "f4366692399305c7a3d2d34d62fa1a4ba9647f69901f5ef59880a5830052de6b",
+                 id="sweep-gkp-rep"),
+    pytest.param("sweep --points 3 --trials 5000 --code gkp-tms",
+                 "bf17c7bde6eceee26c8c13dfcfaa83d3ad92c37b2746aacedfdca8dad1b8a975",
+                 id="sweep-gkp-tms"),
+    pytest.param("sweep --points 3 --trials 5000 --code squeezed-rep",
+                 "8d5ec1aa6411c5c104ec6fda7d8030ba4c99aa34a675ab2b4abd7f31bce148b8",
+                 id="sweep-squeezed-rep"),
+    pytest.param("sweep --points 3 --trials 5000 --code gkp-tms --gkp-sigma 0.05",
+                 "75ce3331ed1deeabf3952d925dd2484724862effb498e2e34222a45241b8e578",
+                 id="sweep-gkp-tms-noisy"),
+    pytest.param("sweep --points 3 --trials 5000 --code squeezed-rep --gkp-sigma 0.05",
+                 "4ae7683ab727522760c477e016b09959e253082586948197b57dec0417bebc45",
+                 id="sweep-squeezed-rep-noisy"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _PINNED_CSV)
+def test_csv_bytes_are_pinned(argv, digest, tmp_path):
+    for shards in ("1", "2"):
+        out = tmp_path / f"shards{shards}.csv"
+        main(argv.split() + ["--seed", "7", "--shards", shards, "--out", str(out)])
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, shards
 
 
 def test_fig45_columns_and_reference_row():

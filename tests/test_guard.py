@@ -9,7 +9,9 @@ from gkpstab.codes import gkp_squeezed_repetition, gkp_tms
 from gkpstab.modular import centered_mod
 from gkpstab.symplectic import single_mode_squeeze, two_mode_squeeze
 
-_BOUNDARY = {"positive": 0.0, "nonnegative": 0.0, ">= 1": 1.0, "> 1": 1.0}
+_BOUNDARY = {
+    "positive": 0.0, "nonnegative": 0.0, ">= 1": 1.0, "> 1": 1.0, "finite": -math.inf,
+}
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -19,7 +19,7 @@ from gkpstab.decoders import (
     gkp_tms_decoder,
 )
 from gkpstab.montecarlo import BLOCK_SIZE, TrialReport, _moment_sums, compare, run
-from gkpstab.noise import stream_rng
+from gkpstab.noise import IidNoiseModel, reshape_noise, sample_iid, stream_rng
 from gkpstab.symplectic import inverse
 
 _HISTOGRAM_FIELDS = ("bin_edges", "counts_q", "counts_p", "outside_q", "outside_p")
@@ -100,6 +100,36 @@ def test_outside_counts_equal_direct_count():
     assert np.array_equal(rep.counts_p, counts[1])
     # the wrapped momenta reach past the pilot's six spreads
     assert rep.outside_p > 0
+
+
+@pytest.mark.parametrize("n", [1, BLOCK_SIZE + 1], ids=["one-trial", "full-then-one"])
+@pytest.mark.parametrize(
+    "code, sigma",
+    [
+        (gkp_repetition(), 0.3),
+        (gkp_tms(4.806, 0.05), 0.1),
+        (gkp_squeezed_repetition(3, 2.0, 0.05), 0.05),
+        (gaussian_repetition(3), 0.2),
+    ],
+    ids=["gkp-rep", "gkp-tms-noisy", "squeezed-rep-noisy", "gaussian-rep"],
+)
+def test_run_decodes_the_noise_module_draws(code, sigma, n):
+    # block i decodes the iid draw of stream i reshaped by reshape_noise,
+    # byte for byte, for blocks of BLOCK_SIZE trials and of one
+    dec = Decoder.for_code(code, sigma)
+    seen = []
+
+    def capturing(z, rng):
+        seen.append(z)
+        return dec(z, rng)
+
+    run(code, capturing, sigma, n, seed=23, histogram=False)
+    model = IidNoiseModel(sigma, code.n_modes)
+    counts = [min(BLOCK_SIZE, n - start) for start in range(0, n, BLOCK_SIZE)]
+    assert [len(z) for z in seen] == counts
+    for i, (z, count) in enumerate(zip(seen, counts)):
+        want = reshape_noise(code.encoder, sample_iid(model, 23, count, i))
+        assert z.shape == want.shape and z.tobytes() == want.tobytes(), i
 
 
 @pytest.mark.parametrize(
