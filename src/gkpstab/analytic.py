@@ -314,15 +314,17 @@ def tms_variance_noisy_gkp(sigma, sigma_gkp: float, gain):
     """
     shape, sigma, g = _sigma_gain(sigma, gain, "nonnegative")
     checked("sigma_gkp", sigma_gkp, "nonnegative")
-    # rows of a noiseless channel are summed at sigma = G = 1, whose lattice
-    # is small at any gain, and then zeroed; each row sums only its own
-    # cells, so the others keep their bits.  [()] keeps a single value a
-    # numpy scalar, as _sigma_gain gave it
     live = sigma > 0
-    total = _tms_lattice(
-        np.where(live, sigma, 1.0)[()], np.where(live, g, 1.0)[()], sigma_gkp
+    if live.all():
+        return shaped(_tms_lattice(sigma, g, sigma_gkp), shape)
+    # a noiseless row is exactly zero and is never summed; each noisy row
+    # sums only its own cells, so it keeps the bits of its lone call
+    live = np.broadcast_to(live, shape)
+    total = np.zeros(shape)
+    total[live] = _tms_lattice(
+        np.broadcast_to(sigma, shape)[live], np.broadcast_to(g, shape)[live], sigma_gkp
     )
-    return shaped(np.where(live, total, 0.0), shape)
+    return shaped(total, shape)
 
 
 def gkp_repetition_stds(sigma: float) -> tuple[float, float]:

@@ -35,27 +35,29 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class SymplecticTransform:
-    """A symplectic matrix together with the number of modes it acts on.
+    """A symplectic matrix, which alone fixes the modes it acts on.
 
-    The matrix is 2N x 2N and satisfies S Omega S^T = Omega up to
-    rounding.  Instances are immutable; the wrapped array is read-only.
+    The matrix is 2N x 2N with N >= 1 and satisfies S Omega S^T = Omega
+    up to rounding.  Instances are immutable; the wrapped array is
+    read-only.
     """
 
-    n_modes: int
     matrix: np.ndarray
 
     def __post_init__(self):
-        if self.n_modes < 1:
-            raise ValueError(f"need at least one mode, got {self.n_modes}")
         m = np.array(self.matrix, dtype=float)
-        if m.shape != (2 * self.n_modes, 2 * self.n_modes):
-            raise ValueError(
-                f"matrix shape {m.shape} does not match {self.n_modes} modes"
-            )
-        if not np.all(np.isfinite(m)):
+        n = len(m) // 2 if m.ndim else 0
+        if n < 1 or m.shape != (2 * n, 2 * n):
+            raise ValueError(f"matrix shape {m.shape} is not 2N x 2N with N >= 1")
+        if not np.isfinite(m).all():
             raise ValueError("matrix entries must be finite")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+
+    @property
+    def n_modes(self) -> int:
+        """N, the number of modes: half the matrix size."""
+        return len(self.matrix) // 2
 
     def __repr__(self):
         return f"SymplecticTransform(n_modes={self.n_modes})"
@@ -70,29 +72,23 @@ def omega(n_modes: int) -> np.ndarray:
     return w
 
 
-def _check_mode(j: int, n_modes: int) -> None:
-    if not 1 <= j <= n_modes:
-        raise ValueError(f"mode index {j} out of range for {n_modes} modes")
-
-
-def _check_mode_pair(j: int, k: int, n_modes: int) -> None:
-    _check_mode(j, n_modes)
-    _check_mode(k, n_modes)
-    if j == k:
-        raise ValueError(f"mode indices must differ, got {j} and {k}")
-
-
-def _q(j: int) -> int:
-    return 2 * (j - 1)
-
-
-def _p(j: int) -> int:
-    return 2 * (j - 1) + 1
+def _gate(block, modes, n_modes: int) -> SymplecticTransform:
+    # the circuit acting as `block` on the (q, p) pairs of the 1-based
+    # `modes`, in that order, and as the identity on every other mode
+    for j in modes:
+        if not 1 <= j <= n_modes:
+            raise ValueError(f"mode index {j} out of range for {n_modes} modes")
+    if len(set(modes)) < len(modes):
+        raise ValueError(f"mode indices must differ, got {modes[0]} and {modes[1]}")
+    rows = np.array([2 * (j - 1) + off for j in modes for off in (0, 1)])
+    m = np.eye(2 * n_modes)
+    m[rows[:, None], rows] = block
+    return SymplecticTransform(m)
 
 
 def identity(n_modes: int) -> SymplecticTransform:
     """The do-nothing circuit on `n_modes` modes."""
-    return SymplecticTransform(n_modes, np.eye(2 * n_modes))
+    return SymplecticTransform(np.eye(2 * n_modes))
 
 
 def sum_gate(ctrl: int, targ: int, n_modes: int) -> SymplecticTransform:
@@ -109,11 +105,7 @@ def sum_gate(ctrl: int, targ: int, n_modes: int) -> SymplecticTransform:
     Raises:
         ValueError: if an index is out of range or ctrl == targ.
     """
-    _check_mode_pair(ctrl, targ, n_modes)
-    m = np.eye(2 * n_modes)
-    m[_q(targ), _q(ctrl)] += 1.0
-    m[_p(ctrl), _p(targ)] -= 1.0
-    return SymplecticTransform(n_modes, m)
+    return _gate([[1, 0, 0, 0], [0, 1, 0, -1], [1, 0, 1, 0], [0, 0, 0, 1]], (ctrl, targ), n_modes)
 
 
 def single_mode_squeeze(scale: float, mode: int, n_modes: int) -> SymplecticTransform:
@@ -126,11 +118,7 @@ def single_mode_squeeze(scale: float, mode: int, n_modes: int) -> SymplecticTran
         n_modes: total number of modes.
     """
     checked("scale", scale, "positive")
-    _check_mode(mode, n_modes)
-    m = np.eye(2 * n_modes)
-    m[_q(mode), _q(mode)] = scale
-    m[_p(mode), _p(mode)] = 1.0 / scale
-    return SymplecticTransform(n_modes, m)
+    return _gate([[scale, 0], [0, 1.0 / scale]], (mode,), n_modes)
 
 
 def two_mode_squeeze(gain: float, mode_a: int, mode_b: int, n_modes: int) -> SymplecticTransform:
@@ -150,18 +138,9 @@ def two_mode_squeeze(gain: float, mode_a: int, mode_b: int, n_modes: int) -> Sym
         n_modes: total number of modes.
     """
     checked("gain", gain, ">= 1")
-    _check_mode_pair(mode_a, mode_b, n_modes)
-    c = np.sqrt(gain)
-    s = np.sqrt(gain - 1.0)
-    m = np.eye(2 * n_modes)
-    for j in (mode_a, mode_b):
-        m[_q(j), _q(j)] = c
-        m[_p(j), _p(j)] = c
-    m[_q(mode_a), _q(mode_b)] = s
-    m[_p(mode_a), _p(mode_b)] = -s
-    m[_q(mode_b), _q(mode_a)] = s
-    m[_p(mode_b), _p(mode_a)] = -s
-    return SymplecticTransform(n_modes, m)
+    c, s = np.sqrt(gain), np.sqrt(gain - 1.0)
+    block = [[c, 0, s, 0], [0, c, 0, -s], [s, 0, c, 0], [0, -s, 0, c]]
+    return _gate(block, (mode_a, mode_b), n_modes)
 
 
 def beam_splitter(transmissivity: float, mode_a: int, mode_b: int, n_modes: int) -> SymplecticTransform:
@@ -176,16 +155,9 @@ def beam_splitter(transmissivity: float, mode_a: int, mode_b: int, n_modes: int)
     """
     if not 0.0 <= transmissivity <= 1.0:
         raise ValueError(f"transmissivity must lie in [0, 1], got {transmissivity}")
-    _check_mode_pair(mode_a, mode_b, n_modes)
-    t = np.sqrt(transmissivity)
-    r = np.sqrt(1.0 - transmissivity)
-    m = np.eye(2 * n_modes)
-    for off in (0, 1):
-        m[2 * (mode_a - 1) + off, 2 * (mode_a - 1) + off] = t
-        m[2 * (mode_b - 1) + off, 2 * (mode_b - 1) + off] = t
-        m[2 * (mode_a - 1) + off, 2 * (mode_b - 1) + off] = r
-        m[2 * (mode_b - 1) + off, 2 * (mode_a - 1) + off] = -r
-    return SymplecticTransform(n_modes, m)
+    t, r = np.sqrt(transmissivity), np.sqrt(1.0 - transmissivity)
+    block = [[t, 0, r, 0], [0, t, 0, r], [-r, 0, t, 0], [0, -r, 0, t]]
+    return _gate(block, (mode_a, mode_b), n_modes)
 
 
 def compose(*transforms: SymplecticTransform) -> SymplecticTransform:
@@ -195,13 +167,11 @@ def compose(*transforms: SymplecticTransform) -> SymplecticTransform:
     n = transforms[0].n_modes
     for t in transforms:
         if t.n_modes != n:
-            raise ValueError(
-                f"mode count mismatch in compose: {t.n_modes} vs {n}"
-            )
+            raise ValueError(f"mode count mismatch in compose: {t.n_modes} vs {n}")
     m = transforms[0].matrix
     for t in transforms[1:]:
         m = m @ t.matrix
-    return SymplecticTransform(n, m)
+    return SymplecticTransform(m)
 
 
 def inverse(transform: SymplecticTransform) -> SymplecticTransform:
@@ -211,7 +181,7 @@ def inverse(transform: SymplecticTransform) -> SymplecticTransform:
     numerical matrix inversion.
     """
     w = omega(transform.n_modes)
-    return SymplecticTransform(transform.n_modes, -w @ transform.matrix.T @ w)
+    return SymplecticTransform(-w @ transform.matrix.T @ w)
 
 
 def apply(transform: SymplecticTransform, vec: np.ndarray) -> np.ndarray:
@@ -233,7 +203,7 @@ def direct_sum(a: SymplecticTransform, b: SymplecticTransform) -> SymplecticTran
     m = np.eye(2 * n)
     m[: 2 * a.n_modes, : 2 * a.n_modes] = a.matrix
     m[2 * a.n_modes :, 2 * a.n_modes :] = b.matrix
-    return SymplecticTransform(n, m)
+    return SymplecticTransform(m)
 
 
 def is_symplectic(transform: SymplecticTransform, tol: float = 1e-12) -> bool:

@@ -244,6 +244,7 @@ def test_c9_oracle_equivalence(record_criterion):
                 sigma,
                 10**7,
                 seed=SEED,
+                histogram=False,
             )
             predicted = tms_variance(sigma, gain)
             if abs(rep.std_q**2 - predicted) > 3 * rep.se_var_q:

@@ -332,7 +332,7 @@ def test_single_read_laws_reject_chained_reads():
     # the position read, whose wraps then shift the momentum output too
     shear = np.eye(4)
     shear[2, 3] = 0.7
-    fed = CodeSpec(compose(SymplecticTransform(2, shear), sum_gate(2, 1, 2)), 1)
+    fed = CodeSpec(compose(SymplecticTransform(shear), sum_gate(2, 1, 2)), 1)
     for code, problem in (
         (fed, "without feed-forward"),
         (gkp_squeezed_repetition(3, 2.0), "without feed-forward"),
@@ -491,6 +491,16 @@ def test_noisy_failure_names_the_row_sigma(monkeypatch):
 def test_noiseless_channel_gives_zero_of_gain_shape():
     assert tms_variance_noisy_gkp(0.0, 0.1, 2.0) == 0.0
     assert np.array_equal(tms_variance_noisy_gkp(0.0, 0.1, np.ones((2, 3))), np.zeros((2, 3)))
+
+
+def test_noiseless_channel_is_zero_at_any_ancilla_noise():
+    # a noiseless row is never summed, so no lattice is sized for it
+    assert tms_variance_noisy_gkp(0.0, 1e6, 2.0) == 0.0
+
+
+def test_refused_lattice_names_the_live_row_beside_noiseless_ones():
+    with pytest.raises(ValueError, match=r"^sigma=0\.1, sigma_gkp=1000000\.0, gain=2\.0 needs "):
+        tms_variance_noisy_gkp(np.array([0.0, 0.1]), 1e6, 2.0)
 
 
 def test_noisy_variance_where_sigma_squared_is_lost():

@@ -367,7 +367,7 @@ def test_import_leaves_out_numerical_integration():
 
 
 def test_checks_negative_control():
-    bad = SymplecticTransform(1, np.array([[1.0, 0.1], [0.0, 1.1]]))
+    bad = SymplecticTransform(np.array([[1.0, 0.1], [0.0, 1.1]]))
     result = check_symplectic_randomized(trials=5, extra_transforms=[bad])
     assert not result.passed
 

@@ -68,6 +68,29 @@ def test_sources_import_only_what_they_use():
     assert faults == []
 
 
+def _unread_private_names(path: Path) -> list:
+    # each module-level private function, class or constant that its own
+    # module never reads
+    tree = ast.parse(path.read_text())
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for name in (n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                defined[name.id] = node.lineno
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{path.name}:{line} never reads {name}" for name, line in defined.items()
+            if name.startswith("_") and not name.startswith("__") and name not in loaded]
+
+
+def test_sources_read_every_private_name_they_define():
+    src = Path(__file__).resolve().parents[1] / "src" / "gkpstab"
+    faults = [fault for path in sorted(src.glob("*.py")) for fault in _unread_private_names(path)]
+    assert faults == []
+
 
 def _named(obj) -> str:
     return getattr(obj, "__name__", repr(obj))

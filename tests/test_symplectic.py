@@ -125,7 +125,7 @@ def test_randomized_products_stay_symplectic():
 
 
 def test_is_symplectic_rejects_junk():
-    bad = SymplecticTransform(2, np.eye(4) * 1.01)
+    bad = SymplecticTransform(np.eye(4) * 1.01)
     assert not is_symplectic(bad)
 
 
@@ -158,6 +158,85 @@ def test_direct_sum():
 def test_invalid_parameters_raise(builder):
     with pytest.raises(ValueError):
         builder()
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 4), (0, 0), (2, 2, 2)])
+def test_transform_rejects_a_matrix_that_is_not_2n_by_2n(shape):
+    with pytest.raises(ValueError, match=r"is not 2N x 2N with N >= 1$"):
+        SymplecticTransform(np.ones(shape))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_transform_rejects_non_finite_entries(bad):
+    m = np.eye(4)
+    m[2, 1] = bad
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        SymplecticTransform(m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_mode_count_is_half_the_matrix_size(n):
+    t = SymplecticTransform(np.eye(2 * n))
+    assert t.n_modes == len(t.matrix) // 2 == n
+
+
+def _written_out(n, a, b, gain, scale, eta):
+    # each gate as scalar stores into the identity, entry by entry
+    def q(j):
+        return 2 * (j - 1)
+
+    def p(j):
+        return 2 * (j - 1) + 1
+
+    add, squeeze, tms, bs = (np.eye(2 * n) for _ in range(4))
+    add[q(b), q(a)] += 1.0
+    add[p(a), p(b)] -= 1.0
+    squeeze[q(a), q(a)] = scale
+    squeeze[p(a), p(a)] = 1.0 / scale
+    c, s = np.sqrt(gain), np.sqrt(gain - 1.0)
+    for j in (a, b):
+        tms[q(j), q(j)] = c
+        tms[p(j), p(j)] = c
+    tms[q(a), q(b)] = s
+    tms[p(a), p(b)] = -s
+    tms[q(b), q(a)] = s
+    tms[p(b), p(a)] = -s
+    t, r = np.sqrt(eta), np.sqrt(1.0 - eta)
+    for j in (q, p):
+        bs[j(a), j(a)] = t
+        bs[j(b), j(b)] = t
+        bs[j(a), j(b)] = r
+        bs[j(b), j(a)] = -r
+    return add, squeeze, tms, bs
+
+
+_modes = st.integers(2, 5).flatmap(
+    lambda n: st.tuples(st.just(n), st.permutations(range(1, n + 1)))
+)
+
+
+@settings(max_examples=200)
+@given(
+    _modes,
+    st.floats(1.0, 1e6),
+    st.floats(0.0, 1e3, exclude_min=True),
+    st.floats(0.0, 1.0),
+)
+def test_gate_blocks_match_their_entries_written_out(modes, gain, scale, eta):
+    n, (a, b, *_) = modes
+    built = (
+        lambda: sum_gate(a, b, n),
+        lambda: single_mode_squeeze(scale, a, n),
+        lambda: two_mode_squeeze(gain, a, b, n),
+        lambda: beam_splitter(eta, a, b, n),
+    )
+    for build, written in zip(built, _written_out(n, a, b, gain, scale, eta)):
+        if np.isfinite(written).all():
+            assert build().matrix.tobytes() == written.tobytes()
+        else:
+            # 1/scale overflows for a subnormal scale
+            with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+                build()
 
 
 @st.composite
