@@ -11,6 +11,8 @@ Mode indices are 1-based throughout.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +47,10 @@ class SymplecticTransform:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
+        m = np.asarray(self.matrix)
+        if m.dtype.kind == "c":
+            raise ValueError(f"matrix entries must be real, got {m.dtype}")
+        m = np.array(m, dtype=float)
         n = len(m) // 2 if m.ndim else 0
         if n < 1 or m.shape != (2 * n, 2 * n):
             raise ValueError(f"matrix shape {m.shape} is not 2N x 2N with N >= 1")
@@ -65,10 +70,17 @@ class SymplecticTransform:
 
 def omega(n_modes: int) -> np.ndarray:
     """Symplectic form for `n_modes` modes in (q1, p1, ..., qN, pN) order."""
+    return _omega(n_modes).copy()
+
+
+@functools.lru_cache(maxsize=8)
+def _omega(n_modes: int) -> np.ndarray:
+    # the read-only form shared by `inverse` and `is_symplectic`
     w = np.zeros((2 * n_modes, 2 * n_modes))
     for j in range(n_modes):
         w[2 * j, 2 * j + 1] = 1.0
         w[2 * j + 1, 2 * j] = -1.0
+    w.flags.writeable = False
     return w
 
 
@@ -80,9 +92,13 @@ def _gate(block, modes, n_modes: int) -> SymplecticTransform:
             raise ValueError(f"mode index {j} out of range for {n_modes} modes")
     if len(set(modes)) < len(modes):
         raise ValueError(f"mode indices must differ, got {modes[0]} and {modes[1]}")
-    rows = np.array([2 * (j - 1) + off for j in modes for off in (0, 1)])
+    rows = [2 * (j - 1) + off for j in modes for off in (0, 1)]
     m = np.eye(2 * n_modes)
-    m[rows[:, None], rows] = block
+    # scalar stores: for a 2x2 or 4x4 block they cost less than one
+    # index-array assignment
+    for r, row in zip(rows, block):
+        for c, v in zip(rows, row):
+            m[r, c] = v
     return SymplecticTransform(m)
 
 
@@ -112,13 +128,16 @@ def single_mode_squeeze(scale: float, mode: int, n_modes: int) -> SymplecticTran
     """Squeezer scaling q by `scale` and p by 1/`scale` on one mode.
 
     Args:
-        scale: position scale factor, finite and positive.  Values above 1
-            stretch the position quadrature.
+        scale: position scale factor, finite and positive with a finite
+            reciprocal.  Values above 1 stretch the position quadrature.
         mode: 1-based mode index.
         n_modes: total number of modes.
     """
-    checked("scale", scale, "positive")
-    return _gate([[scale, 0], [0, 1.0 / scale]], (mode,), n_modes)
+    scale = float(checked("scale", scale, "positive"))
+    inv = 1.0 / scale
+    if inv == math.inf:
+        raise ValueError(f"scale must have a finite reciprocal, got {scale}")
+    return _gate([[scale, 0], [0, inv]], (mode,), n_modes)
 
 
 def two_mode_squeeze(gain: float, mode_a: int, mode_b: int, n_modes: int) -> SymplecticTransform:
@@ -138,7 +157,7 @@ def two_mode_squeeze(gain: float, mode_a: int, mode_b: int, n_modes: int) -> Sym
         n_modes: total number of modes.
     """
     checked("gain", gain, ">= 1")
-    c, s = np.sqrt(gain), np.sqrt(gain - 1.0)
+    c, s = math.sqrt(gain), math.sqrt(gain - 1.0)
     block = [[c, 0, s, 0], [0, c, 0, -s], [s, 0, c, 0], [0, -s, 0, c]]
     return _gate(block, (mode_a, mode_b), n_modes)
 
@@ -155,7 +174,7 @@ def beam_splitter(transmissivity: float, mode_a: int, mode_b: int, n_modes: int)
     """
     if not 0.0 <= transmissivity <= 1.0:
         raise ValueError(f"transmissivity must lie in [0, 1], got {transmissivity}")
-    t, r = np.sqrt(transmissivity), np.sqrt(1.0 - transmissivity)
+    t, r = math.sqrt(transmissivity), math.sqrt(1.0 - transmissivity)
     block = [[t, 0, r, 0], [0, t, 0, r], [-r, 0, t, 0], [0, -r, 0, t]]
     return _gate(block, (mode_a, mode_b), n_modes)
 
@@ -180,7 +199,7 @@ def inverse(transform: SymplecticTransform) -> SymplecticTransform:
     For symplectic S the inverse is -Omega S^T Omega, which avoids a
     numerical matrix inversion.
     """
-    w = omega(transform.n_modes)
+    w = _omega(transform.n_modes)
     return SymplecticTransform(-w @ transform.matrix.T @ w)
 
 
@@ -208,6 +227,6 @@ def direct_sum(a: SymplecticTransform, b: SymplecticTransform) -> SymplecticTran
 
 def is_symplectic(transform: SymplecticTransform, tol: float = 1e-12) -> bool:
     """Whether S Omega S^T = Omega holds entrywise within `tol`."""
-    w = omega(transform.n_modes)
+    w = _omega(transform.n_modes)
     s = transform.matrix
     return bool(np.abs(s @ w @ s.T - w).max() <= tol)

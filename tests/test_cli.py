@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gkpstab.analytic import tms_asymptotic_optimum
-from gkpstab.checks import check_symplectic_randomized, run_all_checks
+from gkpstab import checks, cli
+from gkpstab.analytic import MixturePdf, tms_asymptotic_optimum
+from gkpstab.checks import check_pdf_normalization, check_symplectic_randomized, run_all_checks
 from gkpstab.cli import (
     SWEEP_CODES,
     ExperimentConfig,
@@ -21,8 +22,9 @@ from gkpstab.cli import (
     cmd_sweep,
     main,
 )
+from gkpstab.codes import gaussian_repetition
 from gkpstab.noise import gkp_sigma_from_db
-from gkpstab.symplectic import SymplecticTransform
+from gkpstab.symplectic import SymplecticTransform, compose
 from gkpstab.tuning import optimize
 
 
@@ -352,24 +354,104 @@ def test_main_checks_subcommand(capsys):
     assert "FAIL" not in out
 
 
-def test_import_leaves_out_numerical_integration():
-    # a fresh interpreter, since the checks have loaded quad into this one
+def _fresh_modules(code):
+    # the last output line of `code` in a fresh interpreter, which then
+    # prints the loaded scipy.integrate and scipy.optimize modules
     src = Path(__file__).resolve().parents[1] / "src"
     path = [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
-    code = (
-        "import sys, gkpstab, gkpstab.cli; print(sorted(m for m in sys.modules"
+    code += (
+        "; import sys; print(sorted(m for m in sys.modules"
         " if m.startswith(('scipy.integrate', 'scipy.optimize'))))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True).stdout
-    assert out == "[]\n"
+    return out.splitlines()[-1]
+
+
+def test_import_leaves_out_numerical_integration():
+    assert _fresh_modules("import gkpstab, gkpstab.cli") == "[]"
+
+
+def test_checks_command_leaves_out_numerical_integration():
+    code = "from gkpstab.cli import main; assert main(['checks']) == 0"
+    assert _fresh_modules(code) == "[]"
 
 
 def test_checks_negative_control():
     bad = SymplecticTransform(np.array([[1.0, 0.1], [0.0, 1.1]]))
     result = check_symplectic_randomized(trials=5, extra_transforms=[bad])
     assert not result.passed
+
+
+def _mode_counts_of_products():
+    # the mode count of each of the 1000 random products, in draw order
+    counts = []
+
+    def spy(*gates):
+        counts.append(gates[0].n_modes)
+        return compose(*gates)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(checks, "compose", spy)
+        check_symplectic_randomized()
+    return counts
+
+
+@pytest.mark.parametrize("n_modes", [2, 3, 4])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_checks_flag_a_bad_product_anywhere_in_its_group(monkeypatch, n_modes, where):
+    counts = _mode_counts_of_products()
+    group = [i for i, n in enumerate(counts) if n == n_modes]
+    target = {"first": group[0], "middle": group[len(group) // 2], "last": group[-1]}[where]
+    made = []
+
+    def corrupting(*gates):
+        product = compose(*gates)
+        made.append(product)
+        if len(made) - 1 == target:
+            # S -> (1 + 1e-9) S moves S Omega S^T by 2e-9 Omega
+            return SymplecticTransform(product.matrix * (1.0 + 1e-9))
+        return product
+
+    monkeypatch.setattr(checks, "compose", corrupting)
+    assert not check_symplectic_randomized().passed
+    assert len(made) == 1000
+
+
+def test_checks_flag_a_density_off_by_one_percent(monkeypatch):
+    assert check_pdf_normalization().passed
+    pdf = MixturePdf.pdf
+    monkeypatch.setattr(MixturePdf, "pdf", lambda self, x: 1.01 * pdf(self, x))
+    result = check_pdf_normalization()
+    assert not result.passed
+    assert "1.000e-02" in result.detail
+
+
+def test_sample_submits_the_most_modes_first_and_returns_point_order(monkeypatch):
+    submitted = []
+
+    class SerialPool:
+        # records the points it is handed, then runs them one by one
+        def __init__(self, workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, points):
+            submitted.extend((code.n_modes, sigma) for code, sigma in points)
+            return map(fn, points)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli, "run", lambda code, dec, sigma, *args, **kw: (code.n_modes, sigma))
+    points = [(gaussian_repetition(n), s) for n in (2, 5, 3) for s in (0.1, 0.2)]
+    config = ExperimentConfig("appendix-d", shards=2, n_trials=10)
+    assert cli._sample(points, config) == [(code.n_modes, s) for code, s in points]
+    assert submitted == [(5, 0.1), (5, 0.2), (3, 0.1), (3, 0.2), (2, 0.1), (2, 0.2)]
 
 
 def test_run_all_checks_clean():

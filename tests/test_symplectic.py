@@ -174,6 +174,25 @@ def test_transform_rejects_non_finite_entries(bad):
         SymplecticTransform(m)
 
 
+@pytest.mark.parametrize("matrix", [np.eye(2) * (1 + 1j), np.eye(4, dtype=complex)])
+def test_transform_rejects_a_complex_matrix(matrix):
+    # casting to float would drop the imaginary part without an error
+    with pytest.raises(ValueError, match="^matrix entries must be real, got complex128$"):
+        SymplecticTransform(matrix)
+
+
+def test_squeeze_names_a_scale_whose_reciprocal_overflows():
+    with pytest.raises(ValueError, match="^scale must have a finite reciprocal, got 5e-324$"):
+        single_mode_squeeze(5e-324, 1, 1)
+
+
+def test_omega_returns_a_fresh_array():
+    w = omega(2)
+    w[0, 1] = 7.0
+    assert omega(2)[0, 1] == 1.0
+    assert is_symplectic(identity(2))
+
+
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_mode_count_is_half_the_matrix_size(n):
     t = SymplecticTransform(np.eye(2 * n))
@@ -235,7 +254,7 @@ def test_gate_blocks_match_their_entries_written_out(modes, gain, scale, eta):
             assert build().matrix.tobytes() == written.tobytes()
         else:
             # 1/scale overflows for a subnormal scale
-            with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            with pytest.raises(ValueError, match="^scale must have a finite reciprocal, got "):
                 build()
 
 
