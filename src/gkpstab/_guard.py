@@ -1,6 +1,6 @@
 """The rule for real arguments (finite, and positive, nonnegative, >= 1 or
-> 1, or finite alone) and the shape rule for results (a float for 0-d,
-else an array)."""
+> 1, or finite alone), the rule for counts (an integer of at least a
+bound) and the shape rule for results (a float for 0-d, else an array)."""
 
 from __future__ import annotations
 
@@ -35,6 +35,16 @@ def checked(name: str, value, kind: str):
         bad = np.extract(~ok, v)[0]
     rule = kind if kind == "finite" else f"finite and {kind}"
     raise ValueError(f"{name} must be {rule}, got {bad}")
+
+
+def counted(name: str, value, least: int):
+    """`value`, unchanged, once it is an integer (python or numpy, not a
+    bool) of at least `least`; the ValueError names the argument."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def shaped(values: np.ndarray, shape):

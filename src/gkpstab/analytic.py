@@ -45,6 +45,15 @@ def gaussian_pdf(x, sigma):
     return np.exp(-(x * x) / (2.0 * sigma * sigma)) / np.sqrt(2.0 * math.pi * sigma * sigma)
 
 
+def _inputs_at(bad, **named) -> str:
+    # "name=value, ..." of the inputs in `named`, each broadcast to bad's
+    # shape, at the first element where `bad` is set
+    at = np.flatnonzero(bad)[0]
+    return ", ".join(
+        f"{name}={np.broadcast_to(value, bad.shape).flat[at]}" for name, value in named.items()
+    )
+
+
 def _n_max(spread, **named):
     # keep cells out to 8 standard deviations so the discarded lattice
     # mass stays below the 1e-10 budget of the mixture weights.  A lattice
@@ -54,35 +63,20 @@ def _n_max(spread, **named):
     n_max = np.maximum(np.ceil(8.0 * spread / _P) + 1, 5)
     too_wide = ~(n_max <= _N_MAX_LIMIT)
     if too_wide.any():
-        at = np.flatnonzero(too_wide)[0]
-        inputs = ", ".join(
-            f"{name}={np.broadcast_to(value, np.shape(spread)).flat[at]}"
-            for name, value in named.items()
-        )
         raise ValueError(
-            f"{inputs} needs {np.ravel(n_max)[at]:.0f} lattice cells either side "
-            f"of zero, more than the limit of {_N_MAX_LIMIT}"
+            f"{_inputs_at(too_wide, **named)} needs {np.extract(too_wide, n_max)[0]:.0f} "
+            f"lattice cells either side of zero, more than the limit of {_N_MAX_LIMIT}"
         )
     return n_max.astype(np.intp)
 
 
-def _cells(spread, **named):
-    # indices and masses of the cells of N(0, spread^2); `named` as in _n_max
-    n_max = int(_n_max(spread, **named))
-    return np.arange(-n_max, n_max + 1), _masses(spread, _cell_edges(n_max))
-
-
-def _cell_edges(n_max) -> np.ndarray:
-    # boundaries (n - 1/2) sqrt(2 pi) for n = -n_max..n_max + 1, so that
-    # cell n spans edges[n + n_max] to edges[n + n_max + 1]
-    return (np.arange(-n_max, n_max + 2) - 0.5) * _P
-
-
-def _masses(sigma, edges):
-    # erf once per boundary: the upper edge of one cell is the lower edge
-    # of the next, the same argument and so the same bits
-    e = erf(edges / (math.sqrt(2.0) * sigma))
-    return 0.5 * (e[..., 1:] - e[..., :-1])
+def _cells(spread, n_max: int):
+    # indices n = -n_max..n_max of the measurement cells and their masses
+    # under N(0, spread^2), on a last axis after spread's.  erf is taken once
+    # per boundary (n - 1/2) sqrt(2 pi), so adjacent cells share its bits
+    k = np.arange(-n_max, n_max + 2)
+    e = erf((k - 0.5) * _P / (math.sqrt(2.0) * spread))
+    return k[:-1], 0.5 * (e[..., 1:] - e[..., :-1])
 
 
 def cell_masses(sigma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -93,7 +87,7 @@ def cell_masses(sigma: float) -> tuple[np.ndarray, np.ndarray]:
     tail is negligible.
     """
     checked("sigma", sigma, "positive")
-    return _cells(sigma, sigma=sigma)
+    return _cells(sigma, int(_n_max(sigma, sigma=sigma)))
 
 
 def _lattice_sums(spread, step, **named) -> np.ndarray:
@@ -112,8 +106,9 @@ def _lattice_sums(spread, step, **named) -> np.ndarray:
     one_size = n_max.size <= 1 or (n_max == n_max[0]).all()
     for n in n_max[:1] if one_size else np.unique(n_max):
         rows = slice(None) if one_size else n_max == n
-        mu = step[rows] * np.arange(-n, n + 1)
-        out[rows] = np.vecdot(_masses(spread[rows], _cell_edges(n)), mu * mu)
+        ns, w = _cells(spread[rows], n)
+        mu = step[rows] * ns
+        out[rows] = np.vecdot(w, mu * mu)
     return out.reshape(shape)
 
 
@@ -215,7 +210,7 @@ def single_read_laws(code: CodeSpec, sigma: float) -> tuple[MixturePdf, MixtureP
             laws.append(MixturePdf(np.ones(1), np.zeros(1), base))
             continue
         spread = math.sqrt(sigma * sigma * (read @ read) + t2)
-        ns, w = _cells(spread, sigma=sigma, sigma_gkp=dec.sigma_gkp)
+        ns, w = _cells(spread, int(_n_max(spread, sigma=sigma, sigma_gkp=dec.sigma_gkp)))
         laws.append(MixturePdf(w, c * _P * ns, base))
     return laws[0], laws[1]
 
@@ -250,12 +245,8 @@ def _tms_lattice(sigma, g, sigma_gkp: float):
         )
     failed = ~np.isfinite(total)
     if failed.any():
-        at = np.flatnonzero(failed)[0]
-        raise ArithmeticError(
-            f"variance evaluation failed for "
-            f"sigma={np.broadcast_to(sigma, failed.shape).flat[at]}, "
-            f"sigma_gkp={sigma_gkp}, gain={np.broadcast_to(g, failed.shape).flat[at]}"
-        )
+        inputs = _inputs_at(failed, sigma=sigma, sigma_gkp=sigma_gkp, gain=g)
+        raise ArithmeticError(f"variance evaluation failed for {inputs}")
     return total
 
 

@@ -4,7 +4,8 @@ These are runtime checks, callable from the command line, that exercise
 the structural identities the rest of the package leans on: symplectic
 form preservation, the beam-splitter realization of two-mode squeezing,
 transversality, passive/noise commutation, density normalization, and
-the decoder weights derived from the codes.
+the decoder weights derived from the codes.  Each check fixes its own
+sizes and tolerances; the two randomized ones take only a seed.
 """
 
 from __future__ import annotations
@@ -78,27 +79,22 @@ def _stack(transforms, idx) -> np.ndarray:
     return np.stack([transforms[i].matrix for i in idx])
 
 
-def check_symplectic_randomized(
-    trials: int = 1000,
-    seed: int = 20260823,
-    tol: float = 1e-12,
-    extra_transforms=None,
-) -> CheckResult:
-    """Random products of three gates preserve the symplectic form and
-    invert exactly, within `tol` entrywise."""
+def check_symplectic_randomized(seed: int = 20260823) -> CheckResult:
+    """1000 random products of three gates preserve the symplectic form and
+    invert exactly, within 1e-12 entrywise."""
+    trials, tol = 1000, 1e-12
     gen = stream_rng(seed, 0)
     n_modes = gen.integers(2, 5, size=(trials, 1))
     kinds = gen.integers(len(_GATES), size=(trials, 3))
     low, high = np.array([bounds for _, bounds in _GATES]).T
     params = gen.uniform(low[kinds], high[kinds])
     mode_a, mode_b = _mode_pairs(gen, n_modes, kinds.shape)
-    candidates = list(extra_transforms) if extra_transforms else []
     rows = zip(kinds.tolist(), params.tolist(), mode_a.tolist(), mode_b.tolist(),
                n_modes.ravel().tolist())
-    for ks, xs, as_, bs, n in rows:
-        candidates.append(
-            compose(*(_GATES[k][0](x, a, b, n) for k, x, a, b in zip(ks, xs, as_, bs)))
-        )
+    candidates = [
+        compose(*(_GATES[k][0](x, a, b, n) for k, x, a, b in zip(ks, xs, as_, bs)))
+        for ks, xs, as_, bs, n in rows
+    ]
     inverses = [inverse(t) for t in candidates]
     form, dev = [], []
     for n, idx in _groups(candidates).items():
@@ -114,8 +110,9 @@ def check_symplectic_randomized(
     )
 
 
-def check_tms_beam_splitter_decomposition(tol: float = 1e-10) -> CheckResult:
-    """Two-mode squeezing equals BS . Sq(1/lam) . Sq(lam) . BS^-1."""
+def check_tms_beam_splitter_decomposition() -> CheckResult:
+    """Two-mode squeezing equals BS . Sq(1/lam) . Sq(lam) . BS^-1, within
+    1e-10 entrywise."""
     worst = 0.0
     for gain in (1.0, 1.5, 4.806, 20.0):
         lam = math.sqrt(gain) + math.sqrt(gain - 1.0)
@@ -129,13 +126,14 @@ def check_tms_beam_splitter_decomposition(tol: float = 1e-10) -> CheckResult:
         worst = max(worst, dev)
     return CheckResult(
         name="tms_beam_splitter_decomposition",
-        passed=worst <= tol,
+        passed=worst <= 1e-10,
         detail=f"max deviation {worst:.3e}",
     )
 
 
-def check_transversal_beam_splitter(tol: float = 1e-10) -> CheckResult:
-    """Pairwise beam splitters commute with parallel two-mode squeezers."""
+def check_transversal_beam_splitter() -> CheckResult:
+    """Pairwise beam splitters commute with parallel two-mode squeezers,
+    within 1e-10 entrywise."""
     worst = 0.0
     for gain in (1.0, 1.5, 4.806, 20.0):
         for eta in (0.1, 0.5, 0.9):
@@ -151,15 +149,15 @@ def check_transversal_beam_splitter(tol: float = 1e-10) -> CheckResult:
             worst = max(worst, dev)
     return CheckResult(
         name="transversal_beam_splitter",
-        passed=worst <= tol,
+        passed=worst <= 1e-10,
         detail=f"max commutator entry {worst:.3e}",
     )
 
 
-def check_passive_noise_commutation(
-    trials: int = 50, seed: int = 20260823, tol: float = 1e-12
-) -> CheckResult:
-    """Isotropic noise slides through passive interferometers unchanged."""
+def check_passive_noise_commutation(seed: int = 20260823) -> CheckResult:
+    """Isotropic noise slides through 50 random passive interferometers
+    unchanged, within 1e-12 entrywise."""
+    trials = 50
     gen = stream_rng(seed, 1)
     n_modes = gen.integers(2, 5, size=(trials, 1))
     depth = gen.integers(1, 4, size=trials)
@@ -186,13 +184,13 @@ def check_passive_noise_commutation(
     worst = float(np.max(devs, initial=0.0))
     return CheckResult(
         name="passive_noise_commutation",
-        passed=worst <= tol,
+        passed=worst <= 1e-12,
         detail=f"max deviation {worst:.3e} over {trials} interferometers",
     )
 
 
-def check_pdf_normalization(tol: float = 1e-6) -> CheckResult:
-    """Output densities integrate to one.
+def check_pdf_normalization() -> CheckResult:
+    """Output densities integrate to one, within 1e-6.
 
     Each law is integrated by the trapezoid rule on a uniform grid of step
     base_sigma / 4 over +-(max |shift| + 12 base_sigma).  For a mixture of
@@ -215,16 +213,17 @@ def check_pdf_normalization(tol: float = 1e-6) -> CheckResult:
     worst = float(np.max(errs))
     return CheckResult(
         name="pdf_normalization",
-        passed=worst <= tol,
+        passed=worst <= 1e-6,
         detail=f"max |integral - 1| = {worst:.3e} over {len(laws)} laws",
     )
 
 
-def check_derived_decoder_weights(tol: float = 1e-12) -> CheckResult:
-    """`Decoder.for_code` reproduces the closed-form weights: -1/2 and 1
-    for GKP repetition, a residual equal to the mean position noise for
-    Gaussian repetition, and -c and c for two-mode squeezing, with
-    c = 2 sqrt(G(G-1)) s^2 / ((2G-1) s^2 + 2 s_gkp^2) at channel noise s."""
+def check_derived_decoder_weights() -> CheckResult:
+    """`Decoder.for_code` reproduces the closed-form weights within 1e-12:
+    -1/2 and 1 for GKP repetition, a residual equal to the mean position
+    noise for Gaussian repetition, and -c and c (relative to c) for
+    two-mode squeezing, with c = 2 sqrt(G(G-1)) s^2 / ((2G-1) s^2 + 2
+    s_gkp^2) at channel noise s."""
     sigma = 0.1
     rep = Decoder.for_code(gkp_repetition(), sigma)
     devs = [np.subtract(rep.c_q + rep.c_p, (-0.5, 0.0, 0.0, 1.0))]
@@ -242,7 +241,7 @@ def check_derived_decoder_weights(tol: float = 1e-12) -> CheckResult:
     worst = max(float(np.abs(d).max()) for d in devs)
     return CheckResult(
         name="derived_decoder_weights",
-        passed=worst <= tol,
+        passed=worst <= 1e-12,
         detail=f"max deviation from the closed forms {worst:.3e}",
     )
 

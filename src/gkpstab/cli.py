@@ -24,6 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__
+from ._guard import counted
 from .analytic import gkp_repetition_stds, tms_asymptotic_optimum
 from .codes import (
     gaussian_repetition,
@@ -49,13 +50,16 @@ __all__ = [
     "main",
 ]
 
-_DEFAULT_SEED = 20260823
 _FIG8_DB = (11.0, 12.8, 15.0, 20.0, 25.0, 30.0, math.inf)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Grid and sampling settings shared by the subcommands."""
+    """Grid and sampling settings shared by the subcommands.
+
+    The field defaults are the command line's too: a shared flag left out
+    leaves its field's default in place.
+    """
 
     experiment: str
     sigma_min: float = 0.02
@@ -63,16 +67,13 @@ class ExperimentConfig:
     points: int = 30
     log_spacing: bool = False
     n_trials: int = 100_000
-    seed: int = _DEFAULT_SEED
+    seed: int = 20260823
     shards: int = 1
 
     def __post_init__(self):
-        if self.points < 2:
-            raise ValueError(f"points must be >= 2, got {self.points}")
-        if self.n_trials < 1:
-            raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
+        counted("points", self.points, 2)
+        counted("n_trials", self.n_trials, 1)
+        counted("shards", self.shards, 1)
         if not (math.isfinite(self.sigma_max) and 0 < self.sigma_min < self.sigma_max):
             raise ValueError(
                 f"need finite 0 < sigma_min < sigma_max, got "
@@ -297,10 +298,12 @@ def cmd_sweep(
 def _add_experiment(subs, name: str, command, summary: str, grid: tuple):
     """Subcommand `name`, which calls `command(config, **flags)`.
 
-    The shared flags fill the ExperimentConfig fields, with `grid` as the
-    default (sigma_min, sigma_max, points).  The flags added to the result
-    take the dests of `command`'s parameters and have no default, so a flag
-    left out leaves that parameter's default in place.
+    The shared flags fill the ExperimentConfig fields.  Of those only the
+    grid flags have defaults here, `grid` = (sigma_min, sigma_max, points),
+    as the grid differs per experiment; the others, left out, leave their
+    field's default in place.  The flags added to the result take the dests
+    of `command`'s parameters and have no default either, so a flag left
+    out leaves that parameter's default in place.
     """
     sigma_min, sigma_max, points = grid
     sub = subs.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
@@ -308,12 +311,11 @@ def _add_experiment(subs, name: str, command, summary: str, grid: tuple):
     sub.add_argument("--sigma-min", type=float, default=sigma_min)
     sub.add_argument("--sigma-max", type=float, default=sigma_max)
     sub.add_argument("--points", type=int, default=points)
-    sub.add_argument("--log", dest="log_spacing", action="store_true", default=False,
+    sub.add_argument("--log", dest="log_spacing", action="store_true",
                      help="log-spaced sigma grid")
-    sub.add_argument("--trials", dest="n_trials", metavar="TRIALS", type=int,
-                     default=100_000)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--shards", type=int, default=1)
+    sub.add_argument("--trials", dest="n_trials", metavar="TRIALS", type=int)
+    sub.add_argument("--seed", type=int)
+    sub.add_argument("--shards", type=int)
     sub.add_argument("--out", default="-", help="output path, '-' for stdout")
     return sub
 
@@ -352,12 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_seed(seed) -> int:
-    if seed is not None:
-        return seed
-    return int(os.environ.get("GKPSTAB_SEED", _DEFAULT_SEED))
-
-
 def _emit(text: str, out: str):
     if out == "-":
         sys.stdout.write(text)
@@ -379,9 +375,10 @@ def main(argv=None) -> int:
 
     # what is left after the shared settings are the experiment's own flags
     run_experiment, out = args.pop("run"), args.pop("out")
-    shared = {field.name: args.pop(field.name) for field in fields(ExperimentConfig)}
+    shared = {f.name: args.pop(f.name) for f in fields(ExperimentConfig) if f.name in args}
     try:
-        shared["seed"] = _resolve_seed(shared["seed"])
+        if "seed" not in shared and "GKPSTAB_SEED" in os.environ:
+            shared["seed"] = int(os.environ["GKPSTAB_SEED"])
         text = run_experiment(ExperimentConfig(**shared), **args)
     except ValueError as exc:
         parser.exit(2, f"{parser.prog}: config error: {exc}\n")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._guard import checked
+from ._guard import checked, counted
 from .analytic import MixturePdf
 from .codes import CodeSpec
 from .noise import draw_normal, reshape_noise, stream_rng
@@ -149,10 +149,8 @@ def run(
             drawn, the histogram fields are None, and every moment field
             keeps its bits: the pilot has a stream of its own.
     """
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be positive, got {n_trials}")
-    if shards < 1:
-        raise ValueError(f"shards must be positive, got {shards}")
+    counted("n_trials", n_trials, 1)
+    counted("shards", shards, 1)
     checked("sigma", sigma, "nonnegative")
     edges = _pilot_edges(code, decoder, sigma, seed) if histogram else None
 

@@ -156,11 +156,10 @@ def optimize(sigma, sigma_gkp: float = 0.0, objective: str = "exact") -> GainOpt
     bare = sig * sig
     clamped = (var >= bare) | (g_star <= 1.0 + 1e-9)
     g_star = np.where(clamped, 1.0, g_star)
-    lam = np.sqrt(g_star) + np.sqrt(g_star - 1.0)
     fields = (
         g_star,
-        lam,
-        20.0 * _each(math.log10, lam),
+        np.sqrt(g_star) + np.sqrt(g_star - 1.0),
+        _each(squeeze_db_from_gain, g_star),
         np.where(clamped, sig, np.sqrt(var)),
         np.where(clamped, 1.0, bare / var),
     )

@@ -94,19 +94,19 @@ def test_lattice_size_is_bounded(monkeypatch, call, named):
     # ask for tens of GB, so both the sizing and the edges are guarded here
     import gkpstab.analytic as analytic
 
-    n_max, cell_edges = analytic._n_max, analytic._cell_edges
+    n_max, cells = analytic._n_max, analytic._cells
 
     def sized(spread, **inputs):
         out = n_max(spread, **inputs)
         assert (np.asarray(out) <= 10**6).all(), "lattice sized past the bound"
         return out
 
-    def edges(n):
+    def built(spread, n):
         assert n <= 10**6, "lattice built past the bound"
-        return cell_edges(n)
+        return cells(spread, n)
 
     monkeypatch.setattr(analytic, "_n_max", sized)
-    monkeypatch.setattr(analytic, "_cell_edges", edges)
+    monkeypatch.setattr(analytic, "_cells", built)
     with pytest.raises(ValueError, match=f"^{re.escape(named)} needs .* lattice cells"):
         call()
 

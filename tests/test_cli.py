@@ -1,6 +1,8 @@
 import hashlib
+import inspect
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -304,6 +306,22 @@ def test_config_validation():
     for shards in (0, -2):
         with pytest.raises(ValueError, match=f"shards must be >= 1, got {shards}"):
             ExperimentConfig("fig3", shards=shards)
+    assert ExperimentConfig("fig3", points=np.int64(3), n_trials=np.int32(5)).sigmas().size == 3
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("points", 2.5, "points must be an integer, got 2.5"),
+        ("points", True, "points must be an integer, got True"),
+        ("n_trials", 1e5, "n_trials must be an integer, got 100000.0"),
+        ("shards", False, "shards must be an integer, got False"),
+        ("points", 1, "points must be >= 2, got 1"),
+    ],
+)
+def test_config_counts_must_be_integers(field, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig("fig3", **{field: value})
 
 
 def test_config_rejects_non_finite_grid():
@@ -378,10 +396,34 @@ def test_checks_command_leaves_out_numerical_integration():
     assert _fresh_modules(code) == "[]"
 
 
-def test_checks_negative_control():
-    bad = SymplecticTransform(np.array([[1.0, 0.1], [0.0, 1.1]]))
-    result = check_symplectic_randomized(trials=5, extra_transforms=[bad])
-    assert not result.passed
+def test_checks_negative_control(monkeypatch):
+    made = []
+
+    def shearing(*gates):
+        product = compose(*gates)
+        made.append(product)
+        if len(made) > 1:
+            return product
+        # q1 -> q1 + 0.1 q2 alone does not preserve the symplectic form
+        shear = np.eye(2 * product.n_modes)
+        shear[0, 2] = 0.1
+        return SymplecticTransform(shear)
+
+    monkeypatch.setattr(checks, "compose", shearing)
+    assert not check_symplectic_randomized().passed
+
+
+def test_checks_fix_their_sizes_and_tolerances():
+    # only the randomized checks take an argument, the seed of their draws
+    params = {
+        name: list(inspect.signature(fn).parameters)
+        for name, fn in vars(checks).items()
+        if name.startswith("check_") or name == "run_all_checks"
+    }
+    seeded = {"check_symplectic_randomized", "check_passive_noise_commutation",
+              "run_all_checks"}
+    assert len(params) == 7
+    assert params == {name: ["seed"] if name in seeded else [] for name in params}
 
 
 def _mode_counts_of_products():
@@ -456,6 +498,17 @@ def test_sample_submits_the_most_modes_first_and_returns_point_order(monkeypatch
 
 def test_run_all_checks_clean():
     assert all(r.passed for r in run_all_checks(seed=77))
+
+
+def test_flags_left_out_take_the_config_defaults(monkeypatch, capsys):
+    monkeypatch.delenv("GKPSTAB_SEED", raising=False)
+    seen = []
+    fig45 = cli.cmd_fig45
+    monkeypatch.setattr(cli, "cmd_fig45", lambda config: seen.append(config) or fig45(config))
+    assert main(["fig45", "--points", "2"]) == 0
+    want = ExperimentConfig("fig45", points=2)
+    assert seen == [want]
+    assert capsys.readouterr().out.split("\r\n")[1] == f"# {want.describe()}"
 
 
 def test_env_seed_default(monkeypatch, capsys):

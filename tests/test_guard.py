@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from gkpstab._guard import checked
+from gkpstab._guard import checked, counted
 from gkpstab.codes import gkp_squeezed_repetition, gkp_tms
 from gkpstab.modular import centered_mod
 from gkpstab.symplectic import single_mode_squeeze, two_mode_squeeze
@@ -57,3 +57,13 @@ def test_array_names_first_bad_element():
         checked("x", np.array([[1.0, 0.5], [math.nan, 2.0]]), ">= 1")
     empty = np.zeros((0, 3))
     assert checked("x", empty, "positive") is empty
+
+
+def test_counted_takes_integers_of_at_least_the_bound():
+    for value in (3, np.int64(3), np.uint8(3), np.int64(2)):
+        assert counted("n", value, 2) is value
+    for bad in (True, np.bool_(True), 2.0, 2.5, np.float64(3.0), "3", None):
+        with pytest.raises(ValueError, match=r"^n must be an integer, got "):
+            counted("n", bad, 2)
+    with pytest.raises(ValueError, match=r"^n must be >= 2, got 1$"):
+        counted("n", np.int64(1), 2)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -255,6 +256,23 @@ def test_invalid_arguments():
     rep = run(code, dec, 0.1, 1000, seed=1)
     with pytest.raises(ValueError):
         compare(rep, single_read_laws(gkp_tms(2.0), 0.1)[0], quadrature="x")
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"shards": 1.5}, "shards must be an integer, got 1.5"),
+        ({"shards": True}, "shards must be an integer, got True"),
+        ({"n_trials": True}, "n_trials must be an integer, got True"),
+        ({"n_trials": 10.0}, "n_trials must be an integer, got 10.0"),
+        ({"n_trials": 0}, "n_trials must be >= 1, got 0"),
+        ({"shards": np.int64(0)}, "shards must be >= 1, got 0"),
+    ],
+)
+def test_counts_must_be_integers(kwargs, message):
+    args = {"n_trials": 10, "shards": 1, **kwargs}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run(gkp_repetition(), gkp_repetition_decoder(), 0.3, seed=1, **args)
 
 
 def test_non_finite_sigma_rejected():
