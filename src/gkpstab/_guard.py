@@ -1,6 +1,7 @@
 """The rule for real arguments (finite, and positive, nonnegative, >= 1 or
-> 1, or finite alone), the rule for counts (an integer of at least a
-bound) and the shape rule for results (a float for 0-d, else an array)."""
+> 1, or finite alone), the rule for counts, seeds and mode indices (an
+integer of at least a bound) and the shape rule for results (a float for
+0-d, else an array)."""
 
 from __future__ import annotations
 

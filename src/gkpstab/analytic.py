@@ -154,15 +154,13 @@ class MixturePdf:
 
     def pdf(self, x):
         """Density at x: a float for scalar x, else an array of x's shape."""
-        x = np.asarray(x, dtype=float)
-        out = gaussian_pdf(x[..., None] - self.shifts, self.base_sigma) @ self.weights
-        return float(out) if out.ndim == 0 else out
+        z = np.asarray(x, dtype=float)[..., None] - self.shifts
+        return shaped(gaussian_pdf(z, self.base_sigma) @ self.weights, np.shape(x))
 
     def cdf(self, x):
         """Distribution function at x, shaped like `pdf`."""
-        x = np.asarray(x, dtype=float)
-        out = ndtr((x[..., None] - self.shifts) / self.base_sigma) @ self.weights
-        return float(out) if out.ndim == 0 else out
+        z = np.asarray(x, dtype=float)[..., None] - self.shifts
+        return shaped(ndtr(z / self.base_sigma) @ self.weights, np.shape(x))
 
     def mean(self) -> float:
         return float(self.weights @ self.shifts)

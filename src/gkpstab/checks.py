@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import single_read_laws
-from .codes import gaussian_repetition, gkp_repetition, gkp_tms
+from .codes import gaussian_repetition, gkp_repetition, gkp_tms, gkp_tms_pair
 from .decoders import Decoder
 from .noise import stream_rng
 from .symplectic import (
@@ -111,8 +111,8 @@ def check_symplectic_randomized(seed: int = 20260823) -> CheckResult:
 
 
 def check_tms_beam_splitter_decomposition() -> CheckResult:
-    """Two-mode squeezing equals BS . Sq(1/lam) . Sq(lam) . BS^-1, within
-    1e-10 entrywise."""
+    """The `gkp_tms` encoder, two-mode squeezing, equals
+    BS . Sq(1/lam) . Sq(lam) . BS^-1, within 1e-10 entrywise."""
     worst = 0.0
     for gain in (1.0, 1.5, 4.806, 20.0):
         lam = math.sqrt(gain) + math.sqrt(gain - 1.0)
@@ -122,7 +122,7 @@ def check_tms_beam_splitter_decomposition() -> CheckResult:
             single_mode_squeeze(lam, 2, 2),
             inverse(beam_splitter(0.5, 1, 2, 2)),
         )
-        dev = float(np.abs(built.matrix - two_mode_squeeze(gain, 1, 2, 2).matrix).max())
+        dev = float(np.abs(built.matrix - gkp_tms(gain).encoder.matrix).max())
         worst = max(worst, dev)
     return CheckResult(
         name="tms_beam_splitter_decomposition",
@@ -132,15 +132,13 @@ def check_tms_beam_splitter_decomposition() -> CheckResult:
 
 
 def check_transversal_beam_splitter() -> CheckResult:
-    """Pairwise beam splitters commute with parallel two-mode squeezers,
-    within 1e-10 entrywise."""
+    """Pairwise beam splitters commute with the `gkp_tms_pair` encoder, two
+    parallel two-mode squeezers, within 1e-10 entrywise."""
     worst = 0.0
     for gain in (1.0, 1.5, 4.806, 20.0):
+        pairs = gkp_tms_pair(gain).encoder
         for eta in (0.1, 0.5, 0.9):
             mixer = compose(beam_splitter(eta, 1, 2, 4), beam_splitter(eta, 3, 4, 4))
-            pairs = compose(
-                two_mode_squeeze(gain, 1, 3, 4), two_mode_squeeze(gain, 2, 4, 4)
-            )
             dev = float(
                 np.abs(
                     compose(mixer, pairs).matrix - compose(pairs, mixer).matrix

@@ -74,6 +74,7 @@ class ExperimentConfig:
         counted("points", self.points, 2)
         counted("n_trials", self.n_trials, 1)
         counted("shards", self.shards, 1)
+        counted("seed", self.seed, 0)
         if not (math.isfinite(self.sigma_max) and 0 < self.sigma_min < self.sigma_max):
             raise ValueError(
                 f"need finite 0 < sigma_min < sigma_max, got "

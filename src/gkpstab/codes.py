@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._guard import checked
+from ._guard import checked, counted
 from .symplectic import (
     SymplecticTransform,
     compose,
@@ -55,7 +55,7 @@ class CodeSpec:
             raise ValueError(
                 f"ancilla_kind must be one of {_ANCILLA_KINDS}, got {self.ancilla_kind!r}"
             )
-        if not 1 <= self.data_modes < self.encoder.n_modes:
+        if counted("data_modes", self.data_modes, 1) >= self.encoder.n_modes:
             raise ValueError(
                 f"data_modes must lie in [1, {self.encoder.n_modes - 1}], got {self.data_modes}"
             )
@@ -73,8 +73,7 @@ def gaussian_repetition(n_modes: int) -> CodeSpec:
     2..n_modes.  This all-Gaussian benchmark squeezes the position noise
     as sigma/sqrt(N) but inflates the momentum noise to sqrt(N) sigma.
     """
-    if n_modes < 2:
-        raise ValueError(f"need at least two modes, got {n_modes}")
+    counted("n_modes", n_modes, 2)
     enc = identity(n_modes)
     for k in range(2, n_modes + 1):
         enc = compose(sum_gate(1, k, n_modes), enc)
@@ -126,8 +125,7 @@ def gkp_squeezed_repetition(n_modes: int, lam: float, sigma_gkp: float = 0.0) ->
     applied in that order before it.  The resulting reshaped noise forms
     measurement chains that suppress both quadratures by lam^(N-1).
     """
-    if n_modes < 2:
-        raise ValueError(f"need at least two modes, got {n_modes}")
+    counted("n_modes", n_modes, 2)
     checked("lam", lam, "> 1")
     enc = compose(
         single_mode_squeeze(1.0 / lam, 1, 2),

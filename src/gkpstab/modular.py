@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from ._guard import checked
+from ._guard import checked, shaped
 from .noise import draw_normal
 
 __all__ = ["MODULAR_PERIOD", "centered_mod", "modular_measure"]
@@ -43,9 +43,7 @@ def centered_mod(value, period: float = MODULAR_PERIOD):
     np.copysign(out, v, out=out)
     out *= period
     np.subtract(v, out, out=out)
-    if np.ndim(value) == 0:
-        return float(out[0])
-    return out
+    return shaped(out, np.shape(value))
 
 
 def modular_measure(value, sigma_gkp: float = 0.0, rng=None):

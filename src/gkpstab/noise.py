@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._guard import checked
+from ._guard import checked, counted
 from .symplectic import SymplecticTransform, apply, inverse
 
 __all__ = [
@@ -39,8 +39,7 @@ class IidNoiseModel:
 
     def __post_init__(self):
         checked("sigma", self.sigma, "nonnegative")
-        if self.n_modes < 1:
-            raise ValueError(f"need at least one mode, got {self.n_modes}")
+        counted("n_modes", self.n_modes, 1)
 
 
 def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -49,6 +48,7 @@ def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
     Distinct `stream` values give statistically independent generators,
     and the same (seed, stream) pair reproduces the same draws.
     """
+    counted("seed", seed, 0)
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
 
 
@@ -67,8 +67,7 @@ def draw_normal(gen: np.random.Generator, sigma: float, shape) -> np.ndarray:
 
 def sample_iid(model: IidNoiseModel, seed: int, count: int, stream: int = 0) -> np.ndarray:
     """Draw `count` noise vectors of shape (count, 2N) from the iid channel."""
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
+    counted("count", count, 0)
     return draw_normal(stream_rng(seed, stream), model.sigma, (count, 2 * model.n_modes))
 
 

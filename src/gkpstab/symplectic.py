@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._guard import checked
+from ._guard import checked, counted
 
 __all__ = [
     "SymplecticTransform",
@@ -70,7 +70,7 @@ class SymplecticTransform:
 
 def omega(n_modes: int) -> np.ndarray:
     """Symplectic form for `n_modes` modes in (q1, p1, ..., qN, pN) order."""
-    return _omega(n_modes).copy()
+    return _omega(counted("n_modes", n_modes, 1)).copy()
 
 
 @functools.lru_cache(maxsize=8)
@@ -87,8 +87,9 @@ def _omega(n_modes: int) -> np.ndarray:
 def _gate(block, modes, n_modes: int) -> SymplecticTransform:
     # the circuit acting as `block` on the (q, p) pairs of the 1-based
     # `modes`, in that order, and as the identity on every other mode
+    counted("n_modes", n_modes, 1)
     for j in modes:
-        if not 1 <= j <= n_modes:
+        if counted("mode index", j, 1) > n_modes:
             raise ValueError(f"mode index {j} out of range for {n_modes} modes")
     if len(set(modes)) < len(modes):
         raise ValueError(f"mode indices must differ, got {modes[0]} and {modes[1]}")
@@ -104,7 +105,7 @@ def _gate(block, modes, n_modes: int) -> SymplecticTransform:
 
 def identity(n_modes: int) -> SymplecticTransform:
     """The do-nothing circuit on `n_modes` modes."""
-    return SymplecticTransform(np.eye(2 * n_modes))
+    return SymplecticTransform(np.eye(2 * counted("n_modes", n_modes, 1)))
 
 
 def sum_gate(ctrl: int, targ: int, n_modes: int) -> SymplecticTransform:

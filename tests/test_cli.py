@@ -12,7 +12,12 @@ import pytest
 
 from gkpstab import checks, cli
 from gkpstab.analytic import MixturePdf, tms_asymptotic_optimum
-from gkpstab.checks import check_pdf_normalization, check_symplectic_randomized, run_all_checks
+from gkpstab.checks import (
+    check_passive_noise_commutation,
+    check_pdf_normalization,
+    check_symplectic_randomized,
+    run_all_checks,
+)
 from gkpstab.cli import (
     SWEEP_CODES,
     ExperimentConfig,
@@ -317,6 +322,9 @@ def test_config_validation():
         ("n_trials", 1e5, "n_trials must be an integer, got 100000.0"),
         ("shards", False, "shards must be an integer, got False"),
         ("points", 1, "points must be >= 2, got 1"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("seed", True, "seed must be an integer, got True"),
     ],
 )
 def test_config_counts_must_be_integers(field, value, message):
@@ -363,6 +371,20 @@ def test_main_exit_codes(capsys):
     with pytest.raises(SystemExit) as err:
         main(["sweep", "--code", "squeezed-rep", "--lam", "0.5", "--trials", "10"])
     assert err.value.code == 2
+
+
+def test_config_error_names_the_seed_of_an_experiment_that_never_samples(capsys):
+    for name in ("fig45", "fig8"):
+        with pytest.raises(SystemExit) as err:
+            main([name, "--seed", "-1", "--points", "2"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err == "gkpstab: config error: seed must be >= 0, got -1\n"
+
+
+def test_randomized_checks_name_a_bad_seed():
+    for check in (check_symplectic_randomized, check_passive_noise_commutation):
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.5$"):
+            check(seed=1.5)
 
 
 def test_main_checks_subcommand(capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -121,6 +122,30 @@ def test_squeezed_repetition_validation():
         gkp_squeezed_repetition(3, 1.0)
     with pytest.raises(ValueError):
         gkp_squeezed_repetition(3, 0.5)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: gaussian_repetition(2.5), "n_modes must be an integer, got 2.5"),
+        (lambda: gaussian_repetition(1), "n_modes must be >= 2, got 1"),
+        (lambda: gkp_squeezed_repetition(3.0, 2.0), "n_modes must be an integer, got 3.0"),
+        (lambda: gkp_squeezed_repetition(True, 2.0), "n_modes must be an integer, got True"),
+        (lambda: CodeSpec(identity(2), 1.5), "data_modes must be an integer, got 1.5"),
+        (lambda: CodeSpec(identity(2), True), "data_modes must be an integer, got True"),
+        (lambda: CodeSpec(identity(2), 0), "data_modes must be >= 1, got 0"),
+    ],
+)
+def test_code_counts_must_be_integers(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_code_counts_take_numpy_integers():
+    n = np.int64(3)
+    for build in (gaussian_repetition, lambda m: gkp_squeezed_repetition(m, 2.0)):
+        assert np.array_equal(build(n).encoder.matrix, build(3).encoder.matrix)
+    assert CodeSpec(identity(2), np.int32(1)).data_modes == 1
 
 
 def test_code_spec_validation():

@@ -54,8 +54,8 @@ def test_plain_wraps_small_period():
 
 
 def test_scalar_in_float_out():
-    out = centered_mod(0.7)
-    assert isinstance(out, float)
+    for value in (0.7, np.float64(0.7), np.array(0.7)):
+        assert type(centered_mod(value)) is float
     arr = centered_mod(np.array([0.7, 1.5]))
     assert isinstance(arr, np.ndarray) and arr.shape == (2,)
 

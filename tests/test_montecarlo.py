@@ -267,12 +267,17 @@ def test_invalid_arguments():
         ({"n_trials": 10.0}, "n_trials must be an integer, got 10.0"),
         ({"n_trials": 0}, "n_trials must be >= 1, got 0"),
         ({"shards": np.int64(0)}, "shards must be >= 1, got 0"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        # without the pilot the block draws are the first to take the seed
+        ({"seed": True, "histogram": False}, "seed must be an integer, got True"),
     ],
 )
 def test_counts_must_be_integers(kwargs, message):
-    args = {"n_trials": 10, "shards": 1, **kwargs}
+    args = {"n_trials": 10, "seed": 1, "shards": 1, **kwargs}
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        run(gkp_repetition(), gkp_repetition_decoder(), 0.3, seed=1, **args)
+        run(gkp_repetition(), gkp_repetition_decoder(), 0.3, **args)
 
 
 def test_non_finite_sigma_rejected():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +29,30 @@ def test_stream_rng_deterministic_and_disjoint():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: stream_rng(True), "seed must be an integer, got True"),
+        (lambda: stream_rng(1.5), "seed must be an integer, got 1.5"),
+        (lambda: stream_rng(-1), "seed must be >= 0, got -1"),
+        (lambda: IidNoiseModel(0.3, 0), "n_modes must be >= 1, got 0"),
+        (lambda: IidNoiseModel(0.3, 2.0), "n_modes must be an integer, got 2.0"),
+        (lambda: sample_iid(IidNoiseModel(0.3, 2), 1, -1), "count must be >= 0, got -1"),
+        (lambda: sample_iid(IidNoiseModel(0.3, 2), 1, 10.0), "count must be an integer, got 10.0"),
+        (lambda: sample_iid(IidNoiseModel(0.3, 2), -3, 10), "seed must be >= 0, got -3"),
+    ],
+)
+def test_seeds_and_counts_must_be_integers(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_numpy_integer_seed_gives_the_same_stream():
+    a = stream_rng(7, 3).normal(size=8)
+    assert np.array_equal(stream_rng(np.uint64(7), 3).normal(size=8), a)
+    assert np.array_equal(stream_rng(np.int32(7), 3).normal(size=8), a)
 
 
 def test_sample_iid_shape_and_scale():

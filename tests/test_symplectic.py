@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -158,6 +159,34 @@ def test_direct_sum():
 def test_invalid_parameters_raise(builder):
     with pytest.raises(ValueError):
         builder()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: sum_gate(True, 2, 2), "mode index must be an integer, got True"),
+        (lambda: sum_gate(1.5, 2, 2), "mode index must be an integer, got 1.5"),
+        (lambda: sum_gate(1, 2, 2.0), "n_modes must be an integer, got 2.0"),
+        (lambda: sum_gate(0, 2, 2), "mode index must be >= 1, got 0"),
+        (lambda: sum_gate(1, 3, 2), "mode index 3 out of range for 2 modes"),
+        (lambda: single_mode_squeeze(2.0, 1, 0), "n_modes must be >= 1, got 0"),
+        (lambda: beam_splitter(0.5, 1, 2.0, 2), "mode index must be an integer, got 2.0"),
+        (lambda: identity(1.5), "n_modes must be an integer, got 1.5"),
+        (lambda: identity(0), "n_modes must be >= 1, got 0"),
+        (lambda: omega(0), "n_modes must be >= 1, got 0"),
+        (lambda: omega(False), "n_modes must be an integer, got False"),
+    ],
+)
+def test_mode_counts_and_indices_must_be_integers(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_mode_counts_and_indices_take_numpy_integers():
+    gate = sum_gate(np.int64(1), np.int32(2), np.int64(2))
+    assert np.array_equal(gate.matrix, sum_gate(1, 2, 2).matrix)
+    assert identity(np.int64(2)).n_modes == 2
+    assert np.array_equal(omega(np.int64(2)), omega(2))
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (2, 4), (0, 0), (2, 2, 2)])
