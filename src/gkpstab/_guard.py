@@ -1,7 +1,8 @@
 """The rule for real arguments (finite, and positive, nonnegative, >= 1 or
 > 1, or finite alone), the rule for counts, seeds and mode indices (an
-integer of at least a bound) and the shape rule for results (a float for
-0-d, else an array)."""
+integer of at least a bound), the rule for random sources (None, a
+Generator or a seed) and the shape rule for results (a float for 0-d,
+else an array)."""
 
 from __future__ import annotations
 
@@ -46,6 +47,14 @@ def counted(name: str, value, least: int):
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
     return value
+
+
+def seeded(name: str, value):
+    """`value`, unchanged, once it is None, a numpy Generator or a seed that
+    `counted` accepts (an integer >= 0); the ValueError names the argument."""
+    if value is None or isinstance(value, np.random.Generator):
+        return value
+    return counted(name, value, 0)
 
 
 def shaped(values: np.ndarray, shape):

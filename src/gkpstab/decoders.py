@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import codes
-from ._guard import checked
+from ._guard import checked, seeded
 from .modular import modular_measure
 from .symplectic import inverse
 
@@ -112,32 +112,36 @@ class Decoder:
         x = np.asarray(z, dtype=float)
         if x.shape[-1] != 2 * self.n_modes:
             raise ValueError(f"syndrome width {x.shape[-1]} does not match {self.n_modes} modes")
+        seeded("rng", rng)
         gen = np.random.default_rng(rng) if self.sigma_gkp > 0 else None
         # one product buffer for every feed-forward term of the call
         term = np.empty(x.shape[:-1])
-        values = []
-        for read in self.reads:
+        # the read that last feeds each value forward; a value is kept until then
+        last_use = {j: k for k, read in enumerate(self.reads) for j, _ in read.feed_forward}
+        values = {}
+        # the corrections sum c[k] * m_k left to right over the nonzero
+        # weights, each term added as soon as its read is made
+        sums = [None, None]
+        for k, read in enumerate(self.reads):
             v = x[..., read.column]
             if read.feed_forward:
                 v = v.copy()
                 for j, weight in read.feed_forward:
                     v -= np.multiply(values[j], weight, out=term)
+                    if last_use[j] == k:
+                        del values[j]
             if not self.exact:
                 v = modular_measure(v, self.sigma_gkp, gen)
-            values.append(v)
-        return DecodeOutcome(
-            xi_q=x[..., 0] - _combine(self.c_q, values),
-            xi_p=x[..., 1] - _combine(self.c_p, values),
-        )
-
-
-def _combine(weights, values):
-    # sum of weight * value over the nonzero weights; starting from the
-    # first term rather than 0 saves one full-array pass, and a generator
-    # keeps at most two terms alive
-    terms = (c * v for c, v in zip(weights, values) if c)
-    first = next(terms, None)
-    return 0.0 if first is None else sum(terms, first)
+            if k in last_use:
+                values[k] = v
+            for i, c in enumerate((self.c_q[k], self.c_p[k])):
+                if c:
+                    if sums[i] is None:
+                        sums[i] = c * v
+                    else:
+                        sums[i] += c * v
+        q, p = (0.0 if s is None else s for s in sums)
+        return DecodeOutcome(xi_q=x[..., 0] - q, xi_p=x[..., 1] - p)
 
 
 # Apart from gkp_tms's, the ancillas of these codes are noiseless, so the

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from ._guard import checked, shaped
+from ._guard import checked, seeded, shaped
 from .noise import draw_normal
 
 __all__ = ["MODULAR_PERIOD", "centered_mod", "modular_measure"]
@@ -57,9 +57,11 @@ def modular_measure(value, sigma_gkp: float = 0.0, rng=None):
     Args:
         value: true quadrature value(s), scalar or array.
         sigma_gkp: per-quadrature GKP noise standard deviation (>= 0).
-        rng: seed or numpy Generator used when sigma_gkp > 0.
+        rng: None, a numpy Generator or an integer seed >= 0, used when
+            sigma_gkp > 0.
     """
     checked("sigma_gkp", sigma_gkp, "nonnegative")
+    seeded("rng", rng)
     if sigma_gkp == 0:
         return centered_mod(value)
     gen = np.random.default_rng(rng)

@@ -49,6 +49,7 @@ def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
     and the same (seed, stream) pair reproduces the same draws.
     """
     counted("seed", seed, 0)
+    counted("stream", stream, 0)
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
 
 

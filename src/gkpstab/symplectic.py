@@ -211,9 +211,11 @@ def apply(transform: SymplecticTransform, vec: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"vector length {v.shape[-1]} does not match {transform.n_modes} modes"
         )
-    # a C-ordered copy of S^T: numpy sends a one-row batch to gemv, which
-    # rounds differently for a transposed view, so only the copy gives each
-    # row the bits it has in a batch of any size
+    # a C-ordered copy of S^T.  Every batch of two or more rows gives each
+    # row the bits it has in any other such batch.  numpy sends a one-row
+    # batch to gemv, which gives a 4x4 transform's batch bits only with the
+    # copy (the transposed view rounds differently), and a 6x6 or larger one
+    # may differ in the last bit even with it
     return v @ transform.matrix.T.copy()
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -95,6 +96,21 @@ def test_gkp_repetition_noisy_ancilla_reproducible():
     c = dec(z, 6)
     assert np.array_equal(a.xi_q, b.xi_q) and np.array_equal(a.xi_p, b.xi_p)
     assert not np.array_equal(a.xi_q, c.xi_q)
+
+
+@pytest.mark.parametrize(
+    "rng, message",
+    [
+        (True, "rng must be an integer, got True"),
+        (-1, "rng must be >= 0, got -1"),
+        (1.5, "rng must be an integer, got 1.5"),
+    ],
+)
+@pytest.mark.parametrize("sigma_gkp", [0.0, 0.1])
+def test_decoder_rejects_a_bad_rng(rng, message, sigma_gkp):
+    dec = Decoder.for_code(gkp_repetition(sigma_gkp), 0.3)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        dec(np.zeros((5, 4)), rng)
 
 
 def test_mmse_ideal_limit():

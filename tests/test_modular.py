@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -94,6 +95,27 @@ def test_modular_measure_seeded_reproducible():
     c = modular_measure(z, 0.1, rng=124)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize(
+    "rng, message",
+    [
+        (True, "rng must be an integer, got True"),
+        (-1, "rng must be >= 0, got -1"),
+        (1.5, "rng must be an integer, got 1.5"),
+    ],
+)
+@pytest.mark.parametrize("sigma_gkp", [0.0, 0.1])
+def test_modular_measure_rejects_a_bad_rng(rng, message, sigma_gkp):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        modular_measure(np.zeros(3), sigma_gkp, rng)
+
+
+def test_modular_measure_takes_a_seed_or_a_generator():
+    z = np.linspace(-1, 1, 50)
+    want = modular_measure(z, 0.1, rng=np.random.default_rng(123))
+    for rng in (123, np.int64(123), np.uint32(123)):
+        assert modular_measure(z, 0.1, rng=rng).tobytes() == want.tobytes()
 
 
 def test_modular_measure_rejects_non_finite_noise():

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,15 @@ from gkpstab.decoders import (
     gkp_repetition_decoder,
     gkp_tms_decoder,
 )
-from gkpstab.montecarlo import BLOCK_SIZE, TrialReport, _moment_sums, compare, run
+from gkpstab.modular import MODULAR_PERIOD
+from gkpstab.montecarlo import (
+    _CHUNK_ROWS,
+    BLOCK_SIZE,
+    TrialReport,
+    _moment_sums,
+    compare,
+    run,
+)
 from gkpstab.noise import IidNoiseModel, reshape_noise, sample_iid, stream_rng
 from gkpstab.symplectic import inverse
 
@@ -103,20 +112,45 @@ def test_outside_counts_equal_direct_count():
     assert rep.outside_p > 0
 
 
-@pytest.mark.parametrize("n", [1, BLOCK_SIZE + 1], ids=["one-trial", "full-then-one"])
+@pytest.mark.parametrize(
+    "n",
+    [
+        1,
+        _CHUNK_ROWS - 1,
+        _CHUNK_ROWS,
+        _CHUNK_ROWS + 1,
+        2 * _CHUNK_ROWS + 1,
+        BLOCK_SIZE,
+        BLOCK_SIZE + 1,
+    ],
+    ids=[
+        "one-trial",
+        "chunk-less-one",
+        "one-chunk",
+        "chunk-then-one",
+        "two-chunks-then-one",
+        "full",
+        "full-then-one",
+    ],
+)
 @pytest.mark.parametrize(
     "code, sigma",
     [
         (gkp_repetition(), 0.3),
         (gkp_tms(4.806, 0.05), 0.1),
         (gkp_squeezed_repetition(3, 2.0, 0.05), 0.05),
+        # lambda as in criterion 7; at seed 23 a lone row of its 10x10
+        # reshape rounds apart from its batch at both one-row tails
+        (gkp_squeezed_repetition(5, 0.08 * MODULAR_PERIOD / 0.05), 0.05),
         (gaussian_repetition(3), 0.2),
     ],
-    ids=["gkp-rep", "gkp-tms-noisy", "squeezed-rep-noisy", "gaussian-rep"],
+    ids=["gkp-rep", "gkp-tms-noisy", "squeezed-rep-noisy", "squeezed-rep-5", "gaussian-rep"],
 )
 def test_run_decodes_the_noise_module_draws(code, sigma, n):
-    # block i decodes the iid draw of stream i reshaped by reshape_noise,
-    # byte for byte, for blocks of BLOCK_SIZE trials and of one
+    # block i decodes the one-shot iid draw of stream i reshaped by
+    # reshape_noise, byte for byte, for blocks of one trial, of BLOCK_SIZE,
+    # and of counts on either side of the edges of the row chunks that a
+    # block is drawn in; each z is handed over with contiguous columns
     dec = Decoder.for_code(code, sigma)
     seen = []
 
@@ -131,6 +165,25 @@ def test_run_decodes_the_noise_module_draws(code, sigma, n):
     for i, (z, count) in enumerate(zip(seen, counts)):
         want = reshape_noise(code.encoder, sample_iid(model, 23, count, i))
         assert z.shape == want.shape and z.tobytes() == want.tobytes(), i
+        assert all(z[:, k].flags.c_contiguous for k in range(z.shape[1])), i
+
+
+def test_a_block_holds_no_whole_raw_draw():
+    # a squeezed-rep-5 block of BLOCK_SIZE trials keeps its 10 reshaped
+    # quadratures (5 MiB) and the decoder's live reads; the block's whole
+    # raw draw would add another 5 MiB
+    sigma = 0.03
+    lam = 0.08 * MODULAR_PERIOD / sigma
+    code = gkp_squeezed_repetition(5, lam)
+    dec = Decoder.for_code(code, sigma)
+    run(code, dec, sigma, 100, seed=3, histogram=False)
+    tracemalloc.start()
+    try:
+        run(code, dec, sigma, BLOCK_SIZE, seed=3, histogram=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9.5 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize(

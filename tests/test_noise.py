@@ -37,6 +37,10 @@ def test_stream_rng_deterministic_and_disjoint():
         (lambda: stream_rng(True), "seed must be an integer, got True"),
         (lambda: stream_rng(1.5), "seed must be an integer, got 1.5"),
         (lambda: stream_rng(-1), "seed must be >= 0, got -1"),
+        (lambda: stream_rng(1, True), "stream must be an integer, got True"),
+        (lambda: stream_rng(1, -1), "stream must be >= 0, got -1"),
+        (lambda: stream_rng(1, 1.5), "stream must be an integer, got 1.5"),
+        (lambda: sample_iid(IidNoiseModel(0.3, 2), 1, 10, True), "stream must be an integer, got True"),
         (lambda: IidNoiseModel(0.3, 0), "n_modes must be >= 1, got 0"),
         (lambda: IidNoiseModel(0.3, 2.0), "n_modes must be an integer, got 2.0"),
         (lambda: sample_iid(IidNoiseModel(0.3, 2), 1, -1), "count must be >= 0, got -1"),
@@ -53,6 +57,7 @@ def test_numpy_integer_seed_gives_the_same_stream():
     a = stream_rng(7, 3).normal(size=8)
     assert np.array_equal(stream_rng(np.uint64(7), 3).normal(size=8), a)
     assert np.array_equal(stream_rng(np.int32(7), 3).normal(size=8), a)
+    assert np.array_equal(stream_rng(7, np.int64(3)).normal(size=8), a)
 
 
 def test_sample_iid_shape_and_scale():
