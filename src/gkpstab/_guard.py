@@ -1,8 +1,8 @@
-"""The rule for real arguments (finite, and positive, nonnegative, >= 1 or
-> 1, or finite alone), the rule for counts, seeds and mode indices (an
-integer of at least a bound), the rule for random sources (None, a
-Generator or a seed) and the shape rule for results (a float for 0-d,
-else an array)."""
+"""The rule for real arguments (not a bool, finite, and positive,
+nonnegative, >= 1 or > 1, or finite alone), the rule for counts, seeds and
+mode indices (an integer of at least a bound), the rule for random sources
+(None, a Generator or a seed) and the shape rule for results (a float for
+0-d, else an array)."""
 
 from __future__ import annotations
 
@@ -21,16 +21,20 @@ _BOUNDS = {
 
 
 def checked(name: str, value, kind: str):
-    """`value`, unchanged, once it, or each of its elements, is finite and
-    `kind`; the ValueError names the first element that is not."""
+    """`value`, unchanged, once it is not a bool (python or numpy, scalar or
+    bool-dtype array) and it, or each of its elements, is finite and
+    `kind`; the ValueError names the argument and the value at fault."""
     bound, strict = _BOUNDS[kind]
     # python and numpy float scalars take the fast path; NaN fails every test
-    if isinstance(value, (float, int)):
+    if isinstance(value, (float, int)) and not isinstance(value, bool):
         if (bound < value if strict else bound <= value) and value < math.inf:
             return value
         bad = value
     else:
         v = np.asarray(value)
+        # a bool compares as 0 or 1, so it would pass as a number
+        if v.dtype == bool:
+            raise ValueError(f"{name} must be a real number, got {value!r}")
         ok = (v > bound if strict else v >= bound) & (v < math.inf)
         if np.count_nonzero(ok) == ok.size:
             return value

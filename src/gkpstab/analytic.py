@@ -113,14 +113,16 @@ def _lattice_sums(spread, step, **named) -> np.ndarray:
 
 
 def _sigma_gain(sigma, gain, kind: str = "positive"):
-    # (shape, sigma, gain): the checked arguments and their broadcast shape.
-    # A single value comes back as numpy scalars, whose arithmetic costs
-    # far less than that of one-element arrays
-    s, g = np.asarray(sigma, dtype=float), np.asarray(gain, dtype=float)
+    # (shape, sigma, gain): the checked arguments as floats and their
+    # broadcast shape, checked before the conversion turns a bool into a
+    # float.  A single value comes back as numpy scalars, whose arithmetic
+    # costs far less than that of one-element arrays
+    s = np.asarray(checked("sigma", sigma, kind), dtype=float)
+    g = np.asarray(checked("gain", gain, ">= 1"), dtype=float)
     shape = np.broadcast(s, g).shape
     if s.size == 1 and g.size == 1:
         s, g = s.reshape(-1)[0], g.reshape(-1)[0]
-    return shape, checked("sigma", s, kind), checked("gain", g, ">= 1")
+    return shape, s, g
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,6 +5,10 @@ random stream, and the per-block partial statistics are merged in block
 order.  Results are therefore bit-identical for a given seed no matter
 how many worker shards execute the blocks.
 
+The optional histogram of both quadratures exists for callers that read
+the bin counts (today `perfbench`'s `edge_bin_frac`); the CLI and the
+acceptance criteria read only the moments and run without it.
+
 Each worker holds one block at a time: its reshaped noise (2N doubles per
 trial), a raw draw of at most one chunk of rows, and the decoder's live
 reads and two running corrections (a few doubles per trial).  A full
@@ -21,11 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._guard import checked, counted
-from .analytic import MixturePdf
 from .codes import CodeSpec
 from .noise import draw_normal, reshape_noise, stream_rng
 
-__all__ = ["TrialReport", "ComparisonReport", "run", "compare"]
+__all__ = ["TrialReport", "run"]
 
 BLOCK_SIZE = 1 << 16
 # rows of a block drawn and reshaped at a time: few enough that a raw and a
@@ -37,11 +40,6 @@ _CHUNK_ROWS = 16384
 _PILOT_STREAM = (1 << 32) - 1
 _PILOT_TRIALS = 4096
 _N_BINS = 201
-# compare's pass rule: 1.63/sqrt(n) is the 1 percent level of the
-# Kolmogorov-Smirnov statistic over n trials; each moment z-score must stay
-# within _Z_LIMIT
-_KS_COEFF = 1.63
-_Z_LIMIT = 5.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,17 +65,6 @@ class TrialReport:
     counts_p: np.ndarray | None
     outside_q: int | None
     outside_p: int | None
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Agreement between a trial report and a model distribution."""
-
-    ks_stat: float
-    ks_threshold: float
-    z_mean: float
-    z_var: float
-    passed: bool
 
 
 def _moment_sums(x: np.ndarray) -> np.ndarray:
@@ -165,9 +152,10 @@ def run(
             `shards`.
         shards: worker threads used to process blocks, at most one per
             block; one block runs on the calling thread.
-        histogram: also bin both quadratures.  Without it no pilot is
-            drawn, the histogram fields are None, and every moment field
-            keeps its bits: the pilot has a stream of its own.
+        histogram: also bin both quadratures, for callers that read the
+            counts.  Without it no pilot is drawn, the histogram fields
+            are None, and every moment field keeps its bits: the pilot has
+            a stream of its own.
     """
     counted("n_trials", n_trials, 1)
     counted("shards", shards, 1)
@@ -214,42 +202,4 @@ def run(
         counts_p=counts_p,
         outside_q=outside_q,
         outside_p=outside_p,
-    )
-
-
-def compare(
-    report: TrialReport,
-    model: MixturePdf,
-    quadrature: str = "q",
-) -> ComparisonReport:
-    """Kolmogorov-Smirnov and moment agreement against a model law.
-
-    The KS statistic is evaluated on the histogram grid, so the report
-    must come from a run with a histogram.  It passes below the 1 percent
-    KS level with both moment z-scores within bounds.
-    """
-    if not isinstance(model, MixturePdf):
-        raise TypeError(f"model must be a MixturePdf, got {type(model).__name__}")
-    if quadrature not in ("q", "p"):
-        raise ValueError(f"quadrature must be 'q' or 'p', got {quadrature!r}")
-    if report.bin_edges is None:
-        raise ValueError("report has no histogram to compare; run with histogram=True")
-    counts, mean, std, se_mean, se_var = (
-        getattr(report, f"{field}_{quadrature}")
-        for field in ("counts", "mean", "std", "se_mean", "se_var")
-    )
-
-    n = report.n_trials
-    emp = np.concatenate([[0.0], np.cumsum(counts)]) / n
-    ks = float(np.abs(emp - model.cdf(report.bin_edges)).max())
-    threshold = _KS_COEFF / math.sqrt(n)
-    z_mean = (mean - model.mean()) / se_mean if se_mean > 0 else 0.0
-    z_var = (std * std - model.variance()) / se_var if se_var > 0 else 0.0
-    passed = ks < threshold and abs(z_mean) <= _Z_LIMIT and abs(z_var) <= _Z_LIMIT
-    return ComparisonReport(
-        ks_stat=ks,
-        ks_threshold=threshold,
-        z_mean=float(z_mean),
-        z_var=float(z_var),
-        passed=bool(passed),
     )

@@ -23,10 +23,7 @@ __all__ = [
     "draw_normal",
     "sample_iid",
     "reshape_noise",
-    "loss_to_sigma",
-    "gkp_sigma_from_delta",
     "gkp_sigma_from_db",
-    "gkp_db_from_sigma",
 ]
 
 
@@ -77,25 +74,6 @@ def reshape_noise(encoder: SymplecticTransform, xi: np.ndarray) -> np.ndarray:
     return apply(inverse(encoder), xi)
 
 
-def loss_to_sigma(gamma: float) -> float:
-    """Noise strength of the additive channel equivalent to loss `gamma`.
-
-    A pure-loss channel of transmissivity 1 - gamma, pre-amplified by a
-    quantum-limited amplifier of gain 1/(1 - gamma), acts as the iid
-    additive Gaussian channel with sigma = sqrt(gamma).
-    """
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError(f"loss must lie in [0, 1), got {gamma}")
-    return math.sqrt(gamma)
-
-
-def gkp_sigma_from_delta(delta: float) -> float:
-    """GKP noise standard deviation of a width-`delta` normalizable GKP state."""
-    checked("delta", delta, "nonnegative")
-    e = math.exp(-delta)
-    return math.sqrt((1.0 - e) / (1.0 + e))
-
-
 def gkp_sigma_from_db(squeeze_db: float) -> float:
     """GKP noise standard deviation for a squeezing level in dB.
 
@@ -107,11 +85,3 @@ def gkp_sigma_from_db(squeeze_db: float) -> float:
     if not math.isfinite(squeeze_db):
         raise ValueError(f"squeezing must be finite or +inf, got {squeeze_db}")
     return math.sqrt(10.0 ** (-squeeze_db / 10.0) / 2.0)
-
-
-def gkp_db_from_sigma(sigma_gkp: float) -> float:
-    """Squeezing level in dB of a GKP state with noise `sigma_gkp`."""
-    checked("sigma_gkp", sigma_gkp, "nonnegative")
-    if sigma_gkp == 0:
-        return math.inf
-    return -10.0 * math.log10(2.0 * sigma_gkp**2)

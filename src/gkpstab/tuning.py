@@ -131,7 +131,7 @@ def optimize(sigma, sigma_gkp: float = 0.0, objective: str = "exact") -> GainOpt
     assume ideal ancillas and reject sigma_gkp > 0; "noisy_gkp" takes any
     sigma_gkp and equals "exact" bit for bit at sigma_gkp = 0.
     """
-    sig = checked("sigma", np.asarray(sigma, dtype=float), "positive")
+    sig = np.asarray(checked("sigma", sigma, "positive"), dtype=float)
     checked("sigma_gkp", sigma_gkp, "nonnegative")
     fun = _objective(objective, sigma_gkp)
     shape, sig = sig.shape, sig.reshape(-1)

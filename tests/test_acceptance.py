@@ -62,7 +62,7 @@ def test_c1_gkp_repetition_spreads(record_criterion):
     for sigma in (0.05, 0.1, 0.2, 0.3):
         std_q, std_p = gkp_repetition_stds(sigma)
         ref_q, ref_p = _small_noise_plus_wrap_stds(sigma)
-        rep = run(code, decoder, sigma, 10**6, seed=SEED)
+        rep = run(code, decoder, sigma, 10**6, seed=SEED, histogram=False)
         for quad, analytic, ref, mc, se in (
             ("q", std_q, ref_q, rep.std_q, rep.se_std_q),
             ("p", std_p, ref_p, rep.std_p, rep.se_std_p),
@@ -171,6 +171,7 @@ def test_c6_gaussian_repetition(record_criterion):
             sigma,
             10**6,
             seed=SEED,
+            histogram=False,
         )
         var_q, var_p = rep.std_q**2, rep.std_p**2
         if abs(var_q / (sigma**2 / n_modes) - 1.0) > 0.02:
@@ -203,6 +204,7 @@ def test_c7_squeezed_repetition_scaling(record_criterion):
                 float(sigma),
                 10**6,
                 seed=SEED,
+                histogram=False,
             )
             spreads.append(math.sqrt(0.5 * (rep.std_q**2 + rep.std_p**2)))
         slope = float(np.polyfit(np.log(sigmas), np.log(spreads), 1)[0])

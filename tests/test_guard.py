@@ -5,9 +5,13 @@ import numpy as np
 import pytest
 
 from gkpstab._guard import checked, counted
+from gkpstab.analytic import tms_variance
 from gkpstab.codes import gkp_squeezed_repetition, gkp_tms
+from gkpstab.decoders import Decoder
 from gkpstab.modular import centered_mod
+from gkpstab.montecarlo import run
 from gkpstab.symplectic import single_mode_squeeze, two_mode_squeeze
+from gkpstab.tuning import optimize
 
 _BOUNDARY = {
     "positive": 0.0, "nonnegative": 0.0, ">= 1": 1.0, "> 1": 1.0, "finite": -math.inf,
@@ -67,3 +71,37 @@ def test_counted_takes_integers_of_at_least_the_bound():
             counted("n", bad, 2)
     with pytest.raises(ValueError, match=r"^n must be >= 2, got 1$"):
         counted("n", np.int64(1), 2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # each of these took the bool as 0 or 1: the identity gate, the
+        # variance at sigma = 1, a Monte Carlo at sigma = 1, a stored False
+        (lambda: two_mode_squeeze(True, 1, 2, 2), "gain must be a real number, got True"),
+        (lambda: tms_variance(True, 2.0), "sigma must be a real number, got True"),
+        (lambda: run(gkp_tms(2.0), Decoder.for_code(gkp_tms(2.0), 0.1), True, 10, 1),
+         "sigma must be a real number, got True"),
+        (lambda: gkp_tms(2.0, sigma_gkp=False),
+         "ancilla_sigma_gkp must be a real number, got False"),
+        (lambda: optimize(np.array([True, True])),
+         "sigma must be a real number, got array([ True,  True])"),
+    ],
+    ids=["two_mode_squeeze", "tms_variance", "run", "gkp_tms", "optimize"],
+)
+def test_real_arguments_reject_a_bool(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("kind", sorted(_BOUNDARY))
+def test_checked_rejects_every_bool_form(kind):
+    for bad in (True, False, np.bool_(True), np.array(True), np.array([True, False])):
+        with pytest.raises(ValueError, match=r"^x must be a real number, got "):
+            checked("x", bad, kind)
+
+
+def test_int_float_and_numpy_float_arguments_keep_their_bits():
+    # the raw argument is checked before the conversion to float
+    forms = [(1, 2), (1.0, 2.0), (np.float64(1.0), np.int64(2))]
+    assert len({tms_variance(s, g).hex() for s, g in forms}) == 1

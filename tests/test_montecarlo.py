@@ -26,7 +26,6 @@ from gkpstab.montecarlo import (
     BLOCK_SIZE,
     TrialReport,
     _moment_sums,
-    compare,
     run,
 )
 from gkpstab.noise import IidNoiseModel, reshape_noise, sample_iid, stream_rng
@@ -217,14 +216,6 @@ def test_histogram_off_keeps_every_moment_bit(code, sigma):
             assert float(a).hex() == float(b).hex(), field.name
 
 
-def test_compare_needs_a_histogram():
-    sigma, gain = 0.15, 3.0
-    rep = run(gkp_tms(gain), gkp_tms_decoder(gain, sigma), sigma, 2_000, seed=8,
-              histogram=False)
-    with pytest.raises(ValueError, match="no histogram"):
-        compare(rep, single_read_laws(gkp_tms(gain), sigma)[0])
-
-
 def test_known_spreads_and_errors():
     sigma, n = 0.05, 200_000
     rep = run(gkp_repetition(), gkp_repetition_decoder(), sigma, n, seed=3)
@@ -243,36 +234,32 @@ def test_zero_noise_degenerates_cleanly():
     assert rep.se_std_q == 0.0
 
 
-def test_compare_accepts_matching_mixture():
-    sigma, gain = 0.15, 3.0
-    code = gkp_tms(gain)
-    rep = run(code, gkp_tms_decoder(gain, sigma), sigma, 400_000, seed=8)
-    result = compare(rep, single_read_laws(code, sigma)[0], quadrature="q")
-    assert result.passed
-    assert result.ks_stat < result.ks_threshold
-    assert abs(result.z_mean) < 5 and abs(result.z_var) < 5
-
-
-def test_compare_rejects_wrong_model():
-    sigma, gain = 0.15, 3.0
-    code = gkp_tms(gain)
-    rep = run(code, gkp_tms_decoder(gain, sigma), sigma, 400_000, seed=8)
-    wrong = compare(rep, single_read_laws(code, sigma * 1.25)[0], quadrature="q")
-    assert not wrong.passed
-
-
-def test_compare_with_plain_density_callable():
-    sigma = 0.2
-    rep = run(gkp_repetition(), gkp_repetition_decoder(), sigma, 200_000, seed=10)
-    q_model, p_model = single_read_laws(gkp_repetition(), sigma)
-    assert compare(rep, q_model, quadrature="q").passed
-    assert compare(rep, p_model, quadrature="p").passed
-
-
-def test_compare_takes_only_a_mixture():
-    rep = run(gkp_repetition(), gkp_repetition_decoder(), 0.2, 1_000, seed=10)
-    with pytest.raises(TypeError, match="model must be a MixturePdf, got function"):
-        compare(rep, lambda u: single_read_laws(gkp_repetition(), 0.2)[0].pdf(u))
+@pytest.mark.parametrize(
+    "code, decoder, sigma, n, seed, law_sigma, quadrature, agrees",
+    [
+        (gkp_tms(3.0), gkp_tms_decoder(3.0, 0.15), 0.15, 400_000, 8, 0.15, "q", True),
+        (gkp_tms(3.0), gkp_tms_decoder(3.0, 0.15), 0.15, 400_000, 8, 0.15 * 1.25, "q", False),
+        (gkp_repetition(), gkp_repetition_decoder(), 0.2, 200_000, 10, 0.2, "q", True),
+        (gkp_repetition(), gkp_repetition_decoder(), 0.2, 200_000, 10, 0.2, "p", True),
+    ],
+    ids=["gkp-tms-q", "gkp-tms-q-wrong-sigma", "gkp-rep-q", "gkp-rep-p"],
+)
+def test_histogram_and_moments_match_the_closed_form_law(
+    code, decoder, sigma, n, seed, law_sigma, quadrature, agrees
+):
+    # Kolmogorov-Smirnov distance on the histogram grid below its 1 percent
+    # level 1.63/sqrt(n), and both moments within 5 of their standard errors
+    rep = run(code, decoder, sigma, n, seed=seed)
+    law = single_read_laws(code, law_sigma)["qp".index(quadrature)]
+    counts, mean, std, se_mean, se_var = (
+        getattr(rep, f"{field}_{quadrature}")
+        for field in ("counts", "mean", "std", "se_mean", "se_var")
+    )
+    empirical = np.concatenate([[0.0], np.cumsum(counts)]) / n
+    ks = np.abs(empirical - law.cdf(rep.bin_edges)).max()
+    z_mean = (mean - law.mean()) / se_mean
+    z_var = (std * std - law.variance()) / se_var
+    assert (ks < 1.63 / math.sqrt(n) and abs(z_mean) <= 5 and abs(z_var) <= 5) == agrees
 
 
 def test_only_the_checks_integrate_numerically():
@@ -306,9 +293,6 @@ def test_invalid_arguments():
         run(code, dec, 0.1, 100, seed=1, shards=0)
     with pytest.raises(ValueError):
         run(code, dec, -0.1, 100, seed=1)
-    rep = run(code, dec, 0.1, 1000, seed=1)
-    with pytest.raises(ValueError):
-        compare(rep, single_read_laws(gkp_tms(2.0), 0.1)[0], quadrature="x")
 
 
 @pytest.mark.parametrize(

@@ -11,10 +11,7 @@ from gkpstab.codes import gkp_repetition
 from gkpstab.noise import (
     IidNoiseModel,
     draw_normal,
-    gkp_db_from_sigma,
     gkp_sigma_from_db,
-    gkp_sigma_from_delta,
-    loss_to_sigma,
     reshape_noise,
     sample_iid,
     stream_rng,
@@ -85,22 +82,13 @@ def test_reshaped_covariance_matches_propagation():
     assert np.allclose(np.cov(z.T), 0.4**2 * s_inv @ s_inv.T, atol=0.01)
 
 
-def test_loss_to_sigma():
-    assert loss_to_sigma(0.09) == pytest.approx(0.3, rel=1e-12)
-    assert loss_to_sigma(0.0) == 0.0
-    with pytest.raises(ValueError):
-        loss_to_sigma(1.0)
-    with pytest.raises(ValueError):
-        loss_to_sigma(-0.1)
-
-
 def test_gkp_db_conversions_roundtrip():
+    # the squeezing of a GKP state is s = -10 log10(2 sigma_gkp^2)
     for db in (11.0, 15.0, 30.0):
         sigma = gkp_sigma_from_db(db)
-        assert gkp_db_from_sigma(sigma) == pytest.approx(db, rel=1e-12)
+        assert -10.0 * math.log10(2.0 * sigma**2) == pytest.approx(db, rel=1e-12)
     assert gkp_sigma_from_db(30.0) == pytest.approx(math.sqrt(0.5e-3), rel=1e-12)
     assert gkp_sigma_from_db(math.inf) == 0.0
-    assert gkp_db_from_sigma(0.0) == math.inf
 
 
 @pytest.mark.parametrize("bad", [math.nan, -math.inf])
@@ -113,20 +101,6 @@ def test_gkp_sigma_from_db_rejects_non_finite(bad):
 def test_noise_strengths_reject_non_finite(bad):
     with pytest.raises(ValueError, match=f"got {bad}"):
         IidNoiseModel(sigma=bad, n_modes=2)
-    with pytest.raises(ValueError, match=f"got {bad}"):
-        gkp_sigma_from_delta(bad)
-    with pytest.raises(ValueError, match=f"got {bad}"):
-        gkp_db_from_sigma(bad)
-
-
-def test_gkp_sigma_from_delta_small_limit():
-    # for small delta the variance approaches delta / 2
-    delta = 1e-4
-    assert gkp_sigma_from_delta(delta) ** 2 == pytest.approx(delta / 2, rel=1e-3)
-    assert gkp_sigma_from_delta(0.0) == 0.0
-    big = gkp_sigma_from_delta(1.0)
-    small = gkp_sigma_from_delta(0.1)
-    assert big > small > 0
 
 
 @given(

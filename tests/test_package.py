@@ -174,3 +174,21 @@ def test_benchmark_scripts_use_only_names_the_package_has():
     assert scripts
     faults = [fault for path in scripts for fault in _perfbench_faults(path)]
     assert faults == []
+
+
+def test_the_sampler_imports_no_closed_form():
+    # the Monte Carlo is the route the closed forms are judged against, so
+    # it takes nothing from the lattice sums or the gain searches
+    path = Path(__file__).resolve().parents[1] / "src" / "gkpstab" / "montecarlo.py"
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = "gkpstab" if node.level else ""
+            base = ".".join(part for part in (base, node.module) if part)
+            # `from . import analytic` binds the module itself
+            modules |= {base} | {f"{base}.{alias.name}" for alias in node.names}
+    reached = sorted(m for m in modules if m.split(".")[:2] in (
+        ["gkpstab", "analytic"], ["gkpstab", "tuning"]))
+    assert reached == []
