@@ -1,8 +1,8 @@
 """The rule for real arguments (not a bool, finite, and positive,
-nonnegative, >= 1 or > 1, or finite alone), the rule for counts, seeds and
-mode indices (an integer of at least a bound), the rule for random sources
-(None, a Generator or a seed) and the shape rule for results (a float for
-0-d, else an array)."""
+nonnegative, >= 1, > 1 or in [0, 1], or finite alone), the rule for counts,
+seeds and mode indices (an integer of at least a bound), the rule for random
+sources (None, a Generator or a seed) and the shape rule for results (a
+float for 0-d, else an array)."""
 
 from __future__ import annotations
 
@@ -10,32 +10,39 @@ import math
 
 import numpy as np
 
-# kind -> (bound, whether the bound itself is excluded)
+# kind -> (low, whether low is excluded, high, whether high is excluded)
 _BOUNDS = {
-    "positive": (0.0, True),
-    "nonnegative": (0.0, False),
-    ">= 1": (1.0, False),
-    "> 1": (1.0, True),
-    "finite": (-math.inf, True),
+    "positive": (0.0, True, math.inf, True),
+    "nonnegative": (0.0, False, math.inf, True),
+    ">= 1": (1.0, False, math.inf, True),
+    "> 1": (1.0, True, math.inf, True),
+    "in [0, 1]": (0.0, False, 1.0, False),
+    "finite": (-math.inf, True, math.inf, True),
 }
+# the fast path's types; not bool, which would pass as the number 0 or 1
+_SCALARS = (float, int, np.float64)
 
 
 def checked(name: str, value, kind: str):
-    """`value`, unchanged, once it is not a bool (python or numpy, scalar or
-    bool-dtype array) and it, or each of its elements, is finite and
-    `kind`; the ValueError names the argument and the value at fault."""
-    bound, strict = _BOUNDS[kind]
-    # python and numpy float scalars take the fast path; NaN fails every test
-    if isinstance(value, (float, int)) and not isinstance(value, bool):
-        if (bound < value if strict else bound <= value) and value < math.inf:
+    """`value`, unchanged, once it is not a bool and holds none (python or
+    numpy, scalar, bool-dtype array or an element of a list, tuple or object
+    array) and it, or each of its elements, is finite and `kind`; the
+    ValueError names the argument and the value at fault."""
+    lo, lo_out, hi, hi_out = _BOUNDS[kind]
+    # NaN fails every comparison
+    if type(value) in _SCALARS:
+        if (lo < value if lo_out else lo <= value) and (value < hi if hi_out else value <= hi):
             return value
         bad = value
     else:
         v = np.asarray(value)
-        # a bool compares as 0 or 1, so it would pass as a number
-        if v.dtype == bool:
+        # numpy turns a bool inside a list into a number, so those are
+        # looked for among the raw elements
+        if v.dtype == bool or (isinstance(value, (list, tuple)) or v.dtype == object) and any(
+            isinstance(x, (bool, np.bool_)) for x in np.asarray(value, dtype=object).flat
+        ):
             raise ValueError(f"{name} must be a real number, got {value!r}")
-        ok = (v > bound if strict else v >= bound) & (v < math.inf)
+        ok = (v > lo if lo_out else v >= lo) & (v < hi if hi_out else v <= hi)
         if np.count_nonzero(ok) == ok.size:
             return value
         bad = np.extract(~ok, v)[0]

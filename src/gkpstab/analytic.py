@@ -138,13 +138,10 @@ class MixturePdf:
     base_sigma: float
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        s = np.asarray(self.shifts, dtype=float)
+        w = np.asarray(checked("weights", self.weights, "nonnegative"), dtype=float)
+        s = np.asarray(checked("shifts", self.shifts, "finite"), dtype=float)
         if w.shape != s.shape or w.ndim != 1 or w.size == 0:
             raise ValueError("weights and shifts must be matching 1-d arrays")
-        if np.any(w < 0):
-            raise ValueError("mixture weights must be nonnegative")
-        checked("shifts", s, "finite")
         total = w.sum()
         if not (1.0 - 1e-10 <= total <= 1.0 + 1e-12):
             raise ValueError(f"mixture weights sum to {total}, expected 1")

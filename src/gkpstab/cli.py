@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__
-from ._guard import counted
+from ._guard import checked, counted
 from .analytic import gkp_repetition_stds, tms_asymptotic_optimum
 from .codes import (
     gaussian_repetition,
@@ -75,11 +75,10 @@ class ExperimentConfig:
         counted("n_trials", self.n_trials, 1)
         counted("shards", self.shards, 1)
         counted("seed", self.seed, 0)
-        if not (math.isfinite(self.sigma_max) and 0 < self.sigma_min < self.sigma_max):
-            raise ValueError(
-                f"need finite 0 < sigma_min < sigma_max, got "
-                f"[{self.sigma_min}, {self.sigma_max}]"
-            )
+        checked("sigma_min", self.sigma_min, "positive")
+        checked("sigma_max", self.sigma_max, "positive")
+        if not self.sigma_min < self.sigma_max:
+            raise ValueError(f"sigma_min {self.sigma_min} is not below sigma_max {self.sigma_max}")
 
     def sigmas(self) -> np.ndarray:
         if self.log_spacing:
@@ -208,6 +207,8 @@ def cmd_fig8(config: ExperimentConfig, gkp_db=_FIG8_DB) -> str:
     One curve per ancilla squeezing level in `gkp_db` (dB, inf for
     ideal), each one lockstep search over the sigma grid.
     """
+    if not gkp_db:
+        raise ValueError("gkp_db must name at least one squeezing level")
     out = _CsvBuilder("gkpstab.fig8", config.describe())
     sigmas = config.sigmas()
     for db in gkp_db:
@@ -232,6 +233,7 @@ def cmd_appendix_d(
     """
     if not modes:
         raise ValueError("modes must name at least one mode count")
+    checked("wrap_constant", wrap_constant, "positive")
     out = _CsvBuilder("gkpstab.appendix_d", config.describe())
     out.comment(f"modes={list(modes)} wrap_constant={wrap_constant:g}")
     out.row(["n", "sigma", "sigma_L_mc", "slope"])

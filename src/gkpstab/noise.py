@@ -57,6 +57,7 @@ def draw_normal(gen: np.random.Generator, sigma: float, shape) -> np.ndarray:
     bulk and scaling them in place is cheaper, and adding 0.0 turns the
     -0.0 of sigma = 0 into +0.0.
     """
+    checked("sigma", sigma, "nonnegative")
     xi = gen.standard_normal(shape)
     xi *= sigma
     xi += 0.0
@@ -82,6 +83,5 @@ def gkp_sigma_from_db(squeeze_db: float) -> float:
     """
     if squeeze_db == math.inf:
         return 0.0
-    if not math.isfinite(squeeze_db):
-        raise ValueError(f"squeezing must be finite or +inf, got {squeeze_db}")
+    checked("squeeze_db", squeeze_db, "finite")
     return math.sqrt(10.0 ** (-squeeze_db / 10.0) / 2.0)

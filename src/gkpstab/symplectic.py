@@ -48,7 +48,7 @@ class SymplecticTransform:
 
     def __post_init__(self):
         m = np.asarray(self.matrix)
-        if m.dtype.kind == "c":
+        if m.dtype.kind in "bc":
             raise ValueError(f"matrix entries must be real, got {m.dtype}")
         m = np.array(m, dtype=float)
         n = len(m) // 2 if m.ndim else 0
@@ -173,8 +173,7 @@ def beam_splitter(transmissivity: float, mode_a: int, mode_b: int, n_modes: int)
 
     so eta = 1 is the identity and eta = 1/2 is balanced.
     """
-    if not 0.0 <= transmissivity <= 1.0:
-        raise ValueError(f"transmissivity must lie in [0, 1], got {transmissivity}")
+    checked("transmissivity", transmissivity, "in [0, 1]")
     t, r = math.sqrt(transmissivity), math.sqrt(1.0 - transmissivity)
     block = [[t, 0, r, 0], [0, t, 0, r], [-r, 0, t, 0], [0, -r, 0, t]]
     return _gate(block, (mode_a, mode_b), n_modes)
@@ -230,6 +229,7 @@ def direct_sum(a: SymplecticTransform, b: SymplecticTransform) -> SymplecticTran
 
 def is_symplectic(transform: SymplecticTransform, tol: float = 1e-12) -> bool:
     """Whether S Omega S^T = Omega holds entrywise within `tol`."""
+    checked("tol", tol, "positive")
     w = _omega(transform.n_modes)
     s = transform.matrix
     return bool(np.abs(s @ w @ s.T - w).max() <= tol)

@@ -24,12 +24,7 @@ from gkpstab.codes import (
     gkp_squeezed_repetition,
     gkp_tms,
 )
-from gkpstab.decoders import (
-    gaussian_repetition_decoder,
-    gkp_repetition_decoder,
-    gkp_squeezed_repetition_decoder,
-    gkp_tms_decoder,
-)
+from gkpstab.decoders import Decoder
 from gkpstab.modular import MODULAR_PERIOD
 from gkpstab.montecarlo import run
 from gkpstab.noise import gkp_sigma_from_db
@@ -58,11 +53,10 @@ def test_c1_gkp_repetition_spreads(record_criterion):
     start = time.perf_counter()
     failures = []
     code = gkp_repetition()
-    decoder = gkp_repetition_decoder()
     for sigma in (0.05, 0.1, 0.2, 0.3):
         std_q, std_p = gkp_repetition_stds(sigma)
         ref_q, ref_p = _small_noise_plus_wrap_stds(sigma)
-        rep = run(code, decoder, sigma, 10**6, seed=SEED, histogram=False)
+        rep = run(code, Decoder.for_code(code, sigma), sigma, 10**6, seed=SEED, histogram=False)
         for quad, analytic, ref, mc, se in (
             ("q", std_q, ref_q, rep.std_q, rep.se_std_q),
             ("p", std_p, ref_p, rep.std_p, rep.se_std_p),
@@ -165,9 +159,10 @@ def test_c6_gaussian_repetition(record_criterion):
     sigma = 0.2
     failures = []
     for n_modes in (2, 3):
+        code = gaussian_repetition(n_modes)
         rep = run(
-            gaussian_repetition(n_modes),
-            gaussian_repetition_decoder(n_modes),
+            code,
+            Decoder.for_code(code, sigma),
             sigma,
             10**6,
             seed=SEED,
@@ -198,9 +193,10 @@ def test_c7_squeezed_repetition_scaling(record_criterion):
         spreads = []
         for sigma in sigmas:
             lam = wrap_constant * MODULAR_PERIOD / float(sigma)
+            code = gkp_squeezed_repetition(n_modes, lam)
             rep = run(
-                gkp_squeezed_repetition(n_modes, lam),
-                gkp_squeezed_repetition_decoder(n_modes, lam),
+                code,
+                Decoder.for_code(code, float(sigma)),
                 float(sigma),
                 10**6,
                 seed=SEED,
@@ -240,9 +236,10 @@ def test_c9_oracle_equivalence(record_criterion):
     for sigma in sigma_grid:
         g_star = optimize(sigma).g_star
         for gain in (1.5, g_star, 10.0):
+            code = gkp_tms(gain)
             rep = run(
-                gkp_tms(gain),
-                gkp_tms_decoder(gain, sigma),
+                code,
+                Decoder.for_code(code, sigma),
                 sigma,
                 10**7,
                 seed=SEED,

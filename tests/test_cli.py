@@ -258,6 +258,13 @@ def test_appendix_d_rejects_empty_modes():
         cmd_appendix_d(config, modes=())
 
 
+def test_fig8_rejects_empty_gkp_db():
+    # an empty list wrote a CSV of its two header comments alone
+    config = ExperimentConfig("fig8", points=2)
+    with pytest.raises(ValueError, match="^gkp_db must name at least one squeezing level$"):
+        cmd_fig8(config, gkp_db=())
+
+
 def test_sweep_gaussian_repetition():
     config = ExperimentConfig(
         "sweep", sigma_min=0.2, sigma_max=0.4, points=2, n_trials=30_000, seed=6

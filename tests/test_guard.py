@@ -5,14 +5,24 @@ import numpy as np
 import pytest
 
 from gkpstab._guard import checked, counted
-from gkpstab.analytic import tms_variance
+from gkpstab.analytic import MixturePdf, tms_variance
+from gkpstab.cli import ExperimentConfig, cmd_appendix_d
 from gkpstab.codes import gkp_squeezed_repetition, gkp_tms
 from gkpstab.decoders import Decoder
 from gkpstab.modular import centered_mod
 from gkpstab.montecarlo import run
-from gkpstab.symplectic import single_mode_squeeze, two_mode_squeeze
+from gkpstab.noise import draw_normal, gkp_sigma_from_db, stream_rng
+from gkpstab.symplectic import (
+    SymplecticTransform,
+    beam_splitter,
+    identity,
+    is_symplectic,
+    single_mode_squeeze,
+    two_mode_squeeze,
+)
 from gkpstab.tuning import optimize
 
+# the lower bound of each kind whose upper bound is infinite
 _BOUNDARY = {
     "positive": 0.0, "nonnegative": 0.0, ">= 1": 1.0, "> 1": 1.0, "finite": -math.inf,
 }
@@ -86,22 +96,64 @@ def test_counted_takes_integers_of_at_least_the_bound():
          "ancilla_sigma_gkp must be a real number, got False"),
         (lambda: optimize(np.array([True, True])),
          "sigma must be a real number, got array([ True,  True])"),
+        # each of these took the bool as 0 or 1 too: the identity beam
+        # splitter, sigma_gkp at 1 dB, the grid [0.5, 1.0], a mixture of
+        # one component, the identity matrix, a draw at sigma = 1, a run at
+        # wrap constant 1 and tol = 1
+        (lambda: beam_splitter(True, 1, 2, 2), "transmissivity must be a real number, got True"),
+        (lambda: gkp_sigma_from_db(True), "squeeze_db must be a real number, got True"),
+        (lambda: ExperimentConfig("fig3", sigma_min=0.5, sigma_max=True, points=2),
+         "sigma_max must be a real number, got True"),
+        (lambda: ExperimentConfig("fig3", sigma_min=True, sigma_max=2.0, points=2),
+         "sigma_min must be a real number, got True"),
+        (lambda: MixturePdf(np.array([True, False]), np.array([0.0, 1.0]), 1.0),
+         "weights must be a real number, got array([ True, False])"),
+        (lambda: MixturePdf(np.array([1.0]), [False], 1.0),
+         "shifts must be a real number, got [False]"),
+        (lambda: SymplecticTransform(np.eye(2, dtype=bool)), "matrix entries must be real, got bool"),
+        (lambda: draw_normal(stream_rng(1), True, (2,)), "sigma must be a real number, got True"),
+        (lambda: cmd_appendix_d(ExperimentConfig("appendix-d", sigma_min=0.01, sigma_max=0.05,
+                                                 points=2, n_trials=10), wrap_constant=True),
+         "wrap_constant must be a real number, got True"),
+        (lambda: is_symplectic(identity(1), tol=True), "tol must be a real number, got True"),
+        # numpy turns a bool inside a list into a float before the check
+        (lambda: tms_variance([True, 0.5], 2.0), "sigma must be a real number, got [True, 0.5]"),
+        (lambda: optimize([True, 0.1]), "sigma must be a real number, got [True, 0.1]"),
     ],
-    ids=["two_mode_squeeze", "tms_variance", "run", "gkp_tms", "optimize"],
+    ids=["two_mode_squeeze", "tms_variance", "run", "gkp_tms", "optimize", "beam_splitter",
+         "gkp_sigma_from_db", "sigma_max", "sigma_min", "mixture_weights", "mixture_shifts",
+         "transform_matrix", "draw_normal", "wrap_constant", "is_symplectic",
+         "tms_variance_list", "optimize_list"],
 )
 def test_real_arguments_reject_a_bool(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
 
 
-@pytest.mark.parametrize("kind", sorted(_BOUNDARY))
+@pytest.mark.parametrize("kind", sorted(_BOUNDARY) + ["in [0, 1]"])
 def test_checked_rejects_every_bool_form(kind):
-    for bad in (True, False, np.bool_(True), np.array(True), np.array([True, False])):
+    # numpy turns the bool inside a list, a tuple or a nested list into a float
+    inside = ([True, 0.5], (0.5, True), [[0.5, 1.0], [np.bool_(False), 2.0]],
+              np.array([0.5, True], dtype=object))
+    for bad in (True, False, np.bool_(True), np.array(True), np.array([True, False])) + inside:
         with pytest.raises(ValueError, match=r"^x must be a real number, got "):
             checked("x", bad, kind)
+
+
+def test_checked_unit_interval():
+    for good in (0.0, 1.0, 0.5, 0, 1, np.float64(1.0), np.array([0.0, 1.0])):
+        assert checked("t", good, "in [0, 1]") is good
+    for bad in (np.nextafter(1.0, 2.0), -0.1, math.nan, math.inf):
+        for form in (bad, np.array([0.5, bad])):
+            with pytest.raises(ValueError, match=f"^t must be finite and in \\[0, 1\\], got {bad}$"):
+                checked("t", form, "in [0, 1]")
 
 
 def test_int_float_and_numpy_float_arguments_keep_their_bits():
     # the raw argument is checked before the conversion to float
     forms = [(1, 2), (1.0, 2.0), (np.float64(1.0), np.int64(2))]
     assert len({tms_variance(s, g).hex() for s, g in forms}) == 1
+    for forms in ([0, 0.0, np.float64(0.0)], [1, 1.0, np.float64(1.0)], [0.37, np.float64(0.37)]):
+        assert len({beam_splitter(t, 1, 2, 2).matrix.tobytes() for t in forms}) == 1
+    for forms in ([11, 11.0, np.float64(11.0)], [12.8, np.float64(12.8)]):
+        assert len({gkp_sigma_from_db(db).hex() for db in forms}) == 1

@@ -93,7 +93,7 @@ def test_gkp_db_conversions_roundtrip():
 
 @pytest.mark.parametrize("bad", [math.nan, -math.inf])
 def test_gkp_sigma_from_db_rejects_non_finite(bad):
-    with pytest.raises(ValueError, match=f"squeezing must be finite.*got {bad}"):
+    with pytest.raises(ValueError, match=f"^squeeze_db must be finite, got {bad}$"):
         gkp_sigma_from_db(bad)
 
 
