@@ -36,11 +36,7 @@ def checked(name: str, value, kind: str):
         bad = value
     else:
         v = np.asarray(value)
-        # numpy turns a bool inside a list into a number, so those are
-        # looked for among the raw elements
-        if v.dtype == bool or (isinstance(value, (list, tuple)) or v.dtype == object) and any(
-            isinstance(x, (bool, np.bool_)) for x in np.asarray(value, dtype=object).flat
-        ):
+        if v.dtype == bool or holds_bool(value):
             raise ValueError(f"{name} must be a real number, got {value!r}")
         ok = (v > lo if lo_out else v >= lo) & (v < hi if hi_out else v <= hi)
         if np.count_nonzero(ok) == ok.size:
@@ -48,6 +44,13 @@ def checked(name: str, value, kind: str):
         bad = np.extract(~ok, v)[0]
     rule = kind if kind == "finite" else f"finite and {kind}"
     raise ValueError(f"{name} must be {rule}, got {bad}")
+
+
+def holds_bool(value) -> bool:
+    """Whether a list, tuple or object array `value` holds a python or numpy
+    bool, which numpy would turn into a number; other arrays are not scanned."""
+    scan = isinstance(value, (list, tuple)) or getattr(value, "dtype", None) == object
+    return scan and any(isinstance(x, (bool, np.bool_)) for x in np.asarray(value, object).flat)
 
 
 def counted(name: str, value, least: int):

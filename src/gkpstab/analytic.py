@@ -16,9 +16,8 @@ from scipy.special import erf, erfc, ndtr
 
 from ._guard import checked, shaped
 from .codes import CodeSpec, gkp_repetition
-from .decoders import Decoder
+from .decoders import read_rows
 from .modular import MODULAR_PERIOD
-from .symplectic import inverse
 
 __all__ = [
     "gaussian_pdf",
@@ -175,40 +174,32 @@ def single_read_laws(code: CodeSpec, sigma: float) -> tuple[MixturePdf, MixtureP
     corrects each data quadrature with at most one read, at channel noise
     sigma.
 
-    Let d and a be the rows of S^{-1} of the data quadrature and of its
-    read, c the decoder weight (`Decoder.for_code`) and eta the read's
-    ancilla noise, of variance 2 sigma_gkp^2.  The output
-    d - c (a + eta) + c sqrt(2 pi) n is a Gaussian residual of variance
-    k = Var d - c Cov(d, a), independent of the read for the MMSE weight
-    c, plus the shift of the cell n that the read landed in, whose spread
-    is sqrt(Var a + 2 sigma_gkp^2).  The variance is therefore
-    k + sum_n w_n (c sqrt(2 pi) n)^2.  A quadrature without a read, or
-    with an exact read, is Gaussian.  Raises ValueError for a decoder
-    with feed-forward or with two reads for one data quadrature.
+    The decoder's Gram-Schmidt (`decoders.read_rows`) leaves a data
+    residual e, independent of every read, and gives the read its MMSE
+    weight c.  The output e + c sqrt(2 pi) n, with n the cell that the read
+    landed in, has variance |e|^2 + sum_n w_n (c sqrt(2 pi) n)^2 over the
+    cells of the read row's spread.  A quadrature without a read, or with
+    an exact read, is Gaussian.  Raises ValueError for a decoder with
+    feed-forward or with two reads for one data quadrature.
     """
     checked("sigma", sigma, "positive")
-    dec = Decoder.for_code(code, sigma)
-    if any(read.feed_forward for read in dec.reads):
+    _, f, rows, sigma_gkp, exact, unit = read_rows(code, sigma)
+    if f[:-2].any():
         raise ValueError("single_read_laws needs a decoder without feed-forward")
-    t = inverse(code.encoder).matrix
-    t2 = 2.0 * dec.sigma_gkp * dec.sigma_gkp
     laws = []
-    for data, weights in ((t[0], dec.c_q), (t[1], dec.c_p)):
+    for data, weights in zip(rows[-2:], f[-2:]):
         used = np.flatnonzero(weights)
         if used.size > 1:
             raise ValueError("single_read_laws needs at most one read per data quadrature")
-        c = weights[used[0]] if used.size else 0.0
-        read = t[dec.reads[used[0]].column] if used.size else np.zeros_like(data)
-        # Var(d - c a) + c^2 Var(eta), which equals Var d - c Cov(d, a) for
-        # the MMSE weight c without its cancellation at large gain
-        residual = data - c * read
-        base = math.sqrt(sigma * sigma * (residual @ residual) + c * c * t2)
-        if c == 0.0 or dec.exact:
+        # unit^2 |row|^2 under the root keeps the bits the closed forms pin
+        base = math.sqrt(unit * unit * (data @ data))
+        if not used.size or exact:
             laws.append(MixturePdf(np.ones(1), np.zeros(1), base))
             continue
-        spread = math.sqrt(sigma * sigma * (read @ read) + t2)
-        ns, w = _cells(spread, int(_n_max(spread, sigma=sigma, sigma_gkp=dec.sigma_gkp)))
-        laws.append(MixturePdf(w, c * _P * ns, base))
+        j = used[0]
+        spread = math.sqrt(unit * unit * (rows[j] @ rows[j]))
+        ns, w = _cells(spread, int(_n_max(spread, sigma=sigma, sigma_gkp=sigma_gkp)))
+        laws.append(MixturePdf(w, weights[j] * _P * ns, base))
     return laws[0], laws[1]
 
 

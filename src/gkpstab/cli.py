@@ -16,7 +16,6 @@ import csv
 import inspect
 import io
 import math
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -77,6 +76,8 @@ class ExperimentConfig:
         counted("seed", self.seed, 0)
         checked("sigma_min", self.sigma_min, "positive")
         checked("sigma_max", self.sigma_max, "positive")
+        if not isinstance(self.log_spacing, (bool, np.bool_)):
+            raise ValueError(f"log_spacing must be a bool, got {self.log_spacing!r}")
         if not self.sigma_min < self.sigma_max:
             raise ValueError(f"sigma_min {self.sigma_min} is not below sigma_max {self.sigma_max}")
 
@@ -380,8 +381,6 @@ def main(argv=None) -> int:
     run_experiment, out = args.pop("run"), args.pop("out")
     shared = {f.name: args.pop(f.name) for f in fields(ExperimentConfig) if f.name in args}
     try:
-        if "seed" not in shared and "GKPSTAB_SEED" in os.environ:
-            shared["seed"] = int(os.environ["GKPSTAB_SEED"])
         text = run_experiment(ExperimentConfig(**shared), **args)
     except ValueError as exc:
         parser.exit(2, f"{parser.prog}: config error: {exc}\n")

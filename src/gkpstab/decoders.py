@@ -21,7 +21,7 @@ from ._guard import checked, seeded
 from .modular import modular_measure
 from .symplectic import inverse
 
-# the *_decoder wrappers at the end keep older call forms and are not exported
+# read_rows, shared with analytic, and the older *_decoder call forms are not exported
 __all__ = ["DecodeOutcome", "Read", "Decoder"]
 
 
@@ -70,43 +70,17 @@ class Decoder:
         """Successive-cancellation reads and MMSE weights derived from the code.
 
         Reads the ancilla positions in mode order, then, for GKP ancillas,
-        the momenta from the last mode back; each read is its row of S^{-1}
-        plus its own noise of variance 2 sigma_gkp^2 (from the code).
-        Unnormalised modified Gram-Schmidt over the reads gives row_k = w_k
-        + sum_{j<k} f_kj w_j with orthogonal w_j: read k subtracts f_kj m_j
-        before its reduction (exact reads fold this into the weights), and
-        the projections of the data rows q1 and p1 onto the w_j are c_q and
-        c_p, the linear MMSE estimate without wraps.  Zero coefficients come
-        out exact and leave the feed-forward.  Only data mode 1 is estimated.
+        the momenta from the last mode back, each less a feed-forward of
+        earlier reads (exact reads fold it into the weights); c_q and c_p are
+        the linear MMSE estimate of data mode 1 without wraps (`read_rows`).
         """
-        checked("sigma", sigma, "nonnegative")
-        n, exact = code.n_modes, code.ancilla_kind == "position"
-        columns = [2 * k for k in range(code.data_modes, n)]
-        if not exact:
-            columns += [2 * k + 1 for k in range(n - 1, code.data_modes - 1, -1)]
-        sigma_gkp = 0.0 if exact else code.ancilla_sigma_gkp
-        # rows scaled by sigma give the same coefficients and stay finite at
-        # sigma = 0, where noisy reads carry no channel noise and weigh nothing
-        scale, noise = (sigma, math.sqrt(2.0) * sigma_gkp) if sigma_gkp > 0 else (1.0, 0.0)
-        r = len(columns)
-        t = inverse(code.encoder).matrix
-        rows = np.zeros((r + 2, 2 * n + r))
-        rows[:, : 2 * n] = scale * t[columns + [0, 1]]
-        rows[range(r), range(2 * n, 2 * n + r)] = noise
-        f = np.zeros((r + 2, r))
-        for j in range(r):
-            w = rows[j]
-            f[j + 1 :, j] = rows[j + 1 :] @ w / (w @ w)
-            rows[j + 1 :] -= np.outer(f[j + 1 :, j], w)
-        if exact:
-            # exact reads are linear: with z_reads = (I + F) m, c.m = ((I + F)^-T c).z
-            f[r:] = np.linalg.solve(np.eye(r) + np.tril(f[:r], -1).T, f[r:].T).T
-            f[:r] = 0.0
+        columns, f, _, sigma_gkp, exact, _ = read_rows(code, sigma)
         reads = tuple(
             Read(col, tuple((j, float(f[k, j])) for j in range(k) if f[k, j]))
             for k, col in enumerate(columns)
         )
-        return cls(n, reads, tuple(f[r].tolist()), tuple(f[r + 1].tolist()), sigma_gkp, exact)
+        c_q, c_p = (tuple(c.tolist()) for c in f[-2:])
+        return cls(code.n_modes, reads, c_q, c_p, sigma_gkp, exact)
 
     def __call__(self, z, rng=None) -> DecodeOutcome:
         x = np.asarray(z, dtype=float)
@@ -142,6 +116,38 @@ class Decoder:
                         sums[i] += c * v
         q, p = (0.0 if s is None else s for s in sums)
         return DecodeOutcome(xi_q=x[..., 0] - q, xi_p=x[..., 1] - p)
+
+
+def read_rows(code: codes.CodeSpec, sigma: float):
+    """(columns, f, rows, sigma_gkp, exact, unit): read k is row columns[k] of
+    S^{-1} plus its own noise of variance 2 sigma_gkp^2.  Unnormalised
+    modified Gram-Schmidt over the reads, then data q1 and p1, writes row_k
+    = w_k + sum_{j<k} f_kj w_j with orthogonal w_j; `rows` holds the w_j,
+    then the data residuals, and f[-2:] the MMSE weights; unit * |row| is
+    in channel units.  Zero coefficients come out exact."""
+    checked("sigma", sigma, "nonnegative")
+    n, exact = code.n_modes, code.ancilla_kind == "position"
+    columns = [2 * k for k in range(code.data_modes, n)]
+    if not exact:
+        columns += [2 * k + 1 for k in range(n - 1, code.data_modes - 1, -1)]
+    sigma_gkp = 0.0 if exact else code.ancilla_sigma_gkp
+    # rows scaled by sigma give the same coefficients and stay finite at
+    # sigma = 0, where noisy reads carry no channel noise and weigh nothing
+    scale, unit = (sigma, 1.0) if sigma_gkp > 0 else (1.0, sigma)
+    r = len(columns)
+    rows = np.zeros((r + 2, 2 * n + r))
+    rows[:, : 2 * n] = scale * inverse(code.encoder).matrix[columns + [0, 1]]
+    rows[range(r), range(2 * n, 2 * n + r)] = math.sqrt(2.0) * sigma_gkp
+    f = np.zeros((r + 2, r))
+    for j in range(r):
+        w = rows[j]
+        f[j + 1 :, j] = rows[j + 1 :] @ w / (w @ w)
+        rows[j + 1 :] -= np.outer(f[j + 1 :, j], w)
+    if exact:
+        # exact reads are linear: with z_reads = (I + F) m, c.m = ((I + F)^-T c).z
+        f[r:] = np.linalg.solve(np.eye(r) + np.tril(f[:r], -1).T, f[r:].T).T
+        f[:r] = 0.0
+    return columns, f, rows, sigma_gkp, exact, unit
 
 
 # Apart from gkp_tms's, the ancillas of these codes are noiseless, so the

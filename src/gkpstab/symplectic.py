@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._guard import checked, counted
+from ._guard import checked, counted, holds_bool
 
 __all__ = [
     "SymplecticTransform",
@@ -48,8 +48,9 @@ class SymplecticTransform:
 
     def __post_init__(self):
         m = np.asarray(self.matrix)
-        if m.dtype.kind in "bc":
-            raise ValueError(f"matrix entries must be real, got {m.dtype}")
+        if m.dtype.kind in "bc" or holds_bool(self.matrix):
+            got = m.dtype if m.dtype.kind == "c" else "bool"
+            raise ValueError(f"matrix entries must be real, got {got}")
         m = np.array(m, dtype=float)
         n = len(m) // 2 if m.ndim else 0
         if n < 1 or m.shape != (2 * n, 2 * n):

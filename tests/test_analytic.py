@@ -283,6 +283,17 @@ def test_gkp_repetition_variances_closed_form():
         assert std_p == pytest.approx(math.sqrt(var_p), rel=1e-8)
 
 
+def test_gkp_repetition_stds_keep_their_bits():
+    # the fig3 digest pins 12 significant digits; these pin every bit
+    want = {
+        0.1: ("0x1.21a1851ff630bp-4", "0x1.999999999999ap-4"),
+        0.3: ("0x1.c99b766e57d54p-3", "0x1.3383fdaf65583p-2"),
+        0.5: ("0x1.fabb8a2e43a89p-2", "0x1.249886116751ap-1"),
+    }
+    for sigma, hexes in want.items():
+        assert tuple(std.hex() for std in gkp_repetition_stds(sigma)) == hexes, sigma
+
+
 def test_gkp_repetition_stds_frozen_sampling_references():
     # reference points from an independent 10^7-sample run
     std_q, std_p = gkp_repetition_stds(0.3)
@@ -315,6 +326,18 @@ def test_single_read_laws_of_noisy_gkp_repetition_match_sampling():
         rep = run(code, Decoder.for_code(code, sigma), sigma, 10**6, seed=41, histogram=False)
         assert abs(rep.std_q**2 - law_q.variance()) < 3 * rep.se_var_q, sigma
         assert abs(rep.std_p**2 - law_p.variance()) < 3 * rep.se_var_p, sigma
+
+
+def test_single_read_laws_of_squeezed_repetition_match_sampling():
+    # two-mode squeezed repetition reads one ancilla quadrature per data
+    # quadrature; at these sigma wraps are common enough for the SE to hold
+    for sigma_gkp in (0.0, 0.05):
+        code = gkp_squeezed_repetition(2, 2.0, sigma_gkp)
+        for sigma in (0.2, 0.3):
+            law_q, law_p = single_read_laws(code, sigma)
+            rep = run(code, Decoder.for_code(code, sigma), sigma, 10**6, seed=41, histogram=False)
+            assert abs(rep.std_q**2 - law_q.variance()) < 3 * rep.se_var_q, (sigma_gkp, sigma)
+            assert abs(rep.std_p**2 - law_p.variance()) < 3 * rep.se_var_p, (sigma_gkp, sigma)
 
 
 def test_single_read_laws_of_unwrapped_quadratures_are_gaussian():

@@ -339,6 +339,18 @@ def test_config_counts_must_be_integers(field, value, message):
         ExperimentConfig("fig3", **{field: value})
 
 
+def test_config_log_spacing_must_be_a_bool():
+    # a truthy string or number used to select the log grid
+    for bad in ("no", 1, 0.0, None):
+        message = f"log_spacing must be a bool, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig("fig3", log_spacing=bad, points=3)
+    for flag in (True, np.True_):
+        config = ExperimentConfig("fig3", log_spacing=flag, points=3)
+        assert "spacing=log" in config.describe()
+        assert config.sigmas()[1] == pytest.approx(math.sqrt(0.02 * 0.6))
+
+
 def test_config_rejects_non_finite_grid():
     for lo, hi in [(0.1, math.inf), (math.nan, 0.3), (0.1, math.nan)]:
         with pytest.raises(ValueError):
@@ -530,7 +542,6 @@ def test_run_all_checks_clean():
 
 
 def test_flags_left_out_take_the_config_defaults(monkeypatch, capsys):
-    monkeypatch.delenv("GKPSTAB_SEED", raising=False)
     seen = []
     fig45 = cli.cmd_fig45
     monkeypatch.setattr(cli, "cmd_fig45", lambda config: seen.append(config) or fig45(config))
@@ -540,13 +551,15 @@ def test_flags_left_out_take_the_config_defaults(monkeypatch, capsys):
     assert capsys.readouterr().out.split("\r\n")[1] == f"# {want.describe()}"
 
 
-def test_env_seed_default(monkeypatch, capsys):
+def test_seed_comes_from_the_flag_alone(monkeypatch, capsys):
+    # GKPSTAB_SEED is an ordinary variable: a run with it set writes the
+    # bytes of a run without it
+    argv = ["fig45", "--points", "2", "--sigma-min", "0.1", "--sigma-max", "0.2"]
+    monkeypatch.delenv("GKPSTAB_SEED", raising=False)
+    main(argv)
+    plain = capsys.readouterr().out
     monkeypatch.setenv("GKPSTAB_SEED", "4242")
-    main(["fig45", "--points", "2", "--sigma-min", "0.1", "--sigma-max", "0.2"])
-    out = capsys.readouterr().out
-    assert "seed=4242" in out
-    # an explicit flag wins over the environment
-    main(["fig45", "--points", "2", "--sigma-min", "0.1", "--sigma-max", "0.2",
-          "--seed", "7"])
-    out = capsys.readouterr().out
-    assert "seed=7" in out
+    main(argv)
+    assert capsys.readouterr().out == plain
+    main(argv + ["--seed", "7"])
+    assert "seed=7" in capsys.readouterr().out

@@ -111,6 +111,12 @@ def test_counted_takes_integers_of_at_least_the_bound():
         (lambda: MixturePdf(np.array([1.0]), [False], 1.0),
          "shifts must be a real number, got [False]"),
         (lambda: SymplecticTransform(np.eye(2, dtype=bool)), "matrix entries must be real, got bool"),
+        (lambda: SymplecticTransform([[True, 0.0], [0.0, True]]),
+         "matrix entries must be real, got bool"),
+        (lambda: SymplecticTransform(((1.0, 0.0), (0.0, np.bool_(True)))),
+         "matrix entries must be real, got bool"),
+        (lambda: SymplecticTransform(np.array([[1.0, 0.0], [0.0, True]], dtype=object)),
+         "matrix entries must be real, got bool"),
         (lambda: draw_normal(stream_rng(1), True, (2,)), "sigma must be a real number, got True"),
         (lambda: cmd_appendix_d(ExperimentConfig("appendix-d", sigma_min=0.01, sigma_max=0.05,
                                                  points=2, n_trials=10), wrap_constant=True),
@@ -122,7 +128,8 @@ def test_counted_takes_integers_of_at_least_the_bound():
     ],
     ids=["two_mode_squeeze", "tms_variance", "run", "gkp_tms", "optimize", "beam_splitter",
          "gkp_sigma_from_db", "sigma_max", "sigma_min", "mixture_weights", "mixture_shifts",
-         "transform_matrix", "draw_normal", "wrap_constant", "is_symplectic",
+         "transform_matrix", "transform_nested_list", "transform_tuple",
+         "transform_object_array", "draw_normal", "wrap_constant", "is_symplectic",
          "tms_variance_list", "optimize_list"],
 )
 def test_real_arguments_reject_a_bool(call, message):

@@ -176,11 +176,11 @@ def test_benchmark_scripts_use_only_names_the_package_has():
     assert faults == []
 
 
-def test_the_sampler_imports_no_closed_form():
-    # the Monte Carlo is the route the closed forms are judged against, so
-    # it takes nothing from the lattice sums or the gain searches
-    path = Path(__file__).resolve().parents[1] / "src" / "gkpstab" / "montecarlo.py"
-    modules = set()
+def _imports_and_names(module: str) -> tuple[set, set]:
+    # the modules (and module.name) that gkpstab's `module` imports, and
+    # every name it reads or binds
+    path = Path(__file__).resolve().parents[1] / "src" / "gkpstab" / f"{module}.py"
+    modules, names = set(), set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
             modules |= {alias.name for alias in node.names}
@@ -189,6 +189,23 @@ def test_the_sampler_imports_no_closed_form():
             base = ".".join(part for part in (base, node.module) if part)
             # `from . import analytic` binds the module itself
             modules |= {base} | {f"{base}.{alias.name}" for alias in node.names}
+        names |= {getattr(node, "id", None), getattr(node, "attr", None)}
+        names |= {getattr(node, "name", None), getattr(node, "asname", None)}
+    return modules, names
+
+
+def test_the_sampler_imports_no_closed_form():
+    # the Monte Carlo is the route the closed forms are judged against, so
+    # it takes nothing from the lattice sums or the gain searches
+    modules, _ = _imports_and_names("montecarlo")
     reached = sorted(m for m in modules if m.split(".")[:2] in (
         ["gkpstab", "analytic"], ["gkpstab", "tuning"]))
     assert reached == []
+
+
+def test_the_closed_forms_hold_no_read_model():
+    # which rows a decoder reads, and how they are orthogonalised, are
+    # derived in decoders alone; analytic takes them from there
+    modules, names = _imports_and_names("analytic")
+    assert sorted(m for m in modules if m.split(".")[:2] == ["gkpstab", "symplectic"]) == []
+    assert "Decoder" not in names
