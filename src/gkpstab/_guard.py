@@ -1,8 +1,8 @@
 """The rule for real arguments (not a bool, finite, and positive,
 nonnegative, >= 1, > 1 or in [0, 1], or finite alone), the rule for counts,
 seeds and mode indices (an integer of at least a bound), the rule for random
-sources (None, a Generator or a seed) and the shape rule for results (a
-float for 0-d, else an array)."""
+sources (None, a Generator or a seed), the rule for flags (a bool) and the
+shape rule for results (a float for 0-d, else an array)."""
 
 from __future__ import annotations
 
@@ -69,6 +69,13 @@ def seeded(name: str, value):
     if value is None or isinstance(value, np.random.Generator):
         return value
     return counted(name, value, 0)
+
+
+def flag(name: str, value):
+    """`value`, unchanged, once it is a python or numpy bool; the ValueError names it."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+    return value
 
 
 def shaped(values: np.ndarray, shape):

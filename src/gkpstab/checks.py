@@ -224,7 +224,7 @@ def check_derived_decoder_weights() -> CheckResult:
     s_gkp^2) at channel noise s."""
     sigma = 0.1
     rep = Decoder.for_code(gkp_repetition(), sigma)
-    devs = [np.subtract(rep.c_q + rep.c_p, (-0.5, 0.0, 0.0, 1.0))]
+    devs = [rep.weights[-2:] - ((-0.5, 0.0), (0.0, 1.0))]
     for n_modes in (2, 3, 5):
         code = gaussian_repetition(n_modes)
         # exact reads are linear: decoding the reshaped unit noises gives
@@ -235,7 +235,7 @@ def check_derived_decoder_weights() -> CheckResult:
         dec = Decoder.for_code(gkp_tms(gain, sigma_gkp), sigma)
         c = (2.0 * math.sqrt(gain * (gain - 1.0)) * sigma**2
              / ((2.0 * gain - 1.0) * sigma**2 + 2.0 * sigma_gkp**2))
-        devs.append(np.array([-dec.c_q[0], dec.c_p[1]]) / c - 1.0)
+        devs.append(np.array([-dec.weights[-2, 0], dec.weights[-1, 1]]) / c - 1.0)
     worst = max(float(np.abs(d).max()) for d in devs)
     return CheckResult(
         name="derived_decoder_weights",

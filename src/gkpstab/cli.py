@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__
-from ._guard import checked, counted
+from ._guard import checked, counted, flag
 from .analytic import gkp_repetition_stds, tms_asymptotic_optimum
 from .codes import (
     gaussian_repetition,
@@ -76,8 +76,7 @@ class ExperimentConfig:
         counted("seed", self.seed, 0)
         checked("sigma_min", self.sigma_min, "positive")
         checked("sigma_max", self.sigma_max, "positive")
-        if not isinstance(self.log_spacing, (bool, np.bool_)):
-            raise ValueError(f"log_spacing must be a bool, got {self.log_spacing!r}")
+        flag("log_spacing", self.log_spacing)
         if not self.sigma_min < self.sigma_max:
             raise ValueError(f"sigma_min {self.sigma_min} is not below sigma_max {self.sigma_max}")
 

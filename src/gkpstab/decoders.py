@@ -12,17 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from . import codes
-from ._guard import checked, seeded
+from ._guard import checked, counted, flag, seeded
 from .modular import modular_measure
 from .symplectic import inverse
 
 # read_rows, shared with analytic, and the older *_decoder call forms are not exported
-__all__ = ["DecodeOutcome", "Read", "Decoder"]
+__all__ = ["DecodeOutcome", "Decoder"]
 
 
 @dataclass(frozen=True)
@@ -33,37 +32,40 @@ class DecodeOutcome:
     xi_p: np.ndarray
 
 
-class Read(NamedTuple):
-    """z[..., column] minus weight * m_j for each (j, weight) in
-    `feed_forward` (j an earlier read), reduced modulo sqrt(2*pi) unless
-    the decoder is exact."""
-
-    column: int
-    feed_forward: tuple = ()
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decoder:
     """Modular reads followed by a linear correction of the data mode.
 
-    Calling it on z returns z_q^(1) - sum_k c_q[k] m_k and
-    z_p^(1) - sum_k c_p[k] m_k, with m_k the value of reads[k].  Reads
-    run in tuple order, which fixes the order of the random draws of
-    noisy ancillas (sigma_gkp > 0).  `exact` reads skip the reduction:
-    position-eigenstate ancillas reveal z itself.
+    `weights` is `read_rows`' f: row k < r = len(columns) holds read k's
+    feed-forward, strictly lower-triangular, and the last two rows the
+    corrections c_q and c_p.  Calling it on z reads m_k = z[..., columns[k]]
+    - sum_j weights[k, j] m_j in column order, which fixes the order of the
+    random draws of noisy ancillas (sigma_gkp > 0), and returns
+    z_q^(1) - c_q.m and z_p^(1) - c_p.m.  `exact` reads skip the reduction
+    modulo sqrt(2*pi): position-eigenstate ancillas reveal z itself.
     """
 
     n_modes: int
-    reads: tuple
-    c_q: tuple
-    c_p: tuple
+    columns: tuple
+    weights: np.ndarray
     sigma_gkp: float = 0.0
     exact: bool = False
 
     def __post_init__(self):
+        counted("n_modes", self.n_modes, 1)
+        for column in self.columns:
+            if counted("columns", column, 0) >= 2 * self.n_modes:
+                raise ValueError(f"columns must be below {2 * self.n_modes}, got {column}")
+        weights = np.array(checked("weights", self.weights, "finite"), dtype=float)
+        r = len(self.columns)
+        if weights.shape != (r + 2, r):
+            raise ValueError(f"weights must have shape {(r + 2, r)}, got {weights.shape}")
+        if np.triu(weights[:r]).any():
+            raise ValueError("weights may feed a read forward only from an earlier read")
+        weights.flags.writeable = False
+        object.__setattr__(self, "weights", weights)
         checked("sigma_gkp", self.sigma_gkp, "nonnegative")
-        if not len(self.reads) == len(self.c_q) == len(self.c_p):
-            raise ValueError("need one c_q and one c_p weight per read")
+        flag("exact", self.exact)
 
     @classmethod
     def for_code(cls, code: codes.CodeSpec, sigma: float) -> Decoder:
@@ -75,12 +77,7 @@ class Decoder:
         the linear MMSE estimate of data mode 1 without wraps (`read_rows`).
         """
         columns, f, _, sigma_gkp, exact, _ = read_rows(code, sigma)
-        reads = tuple(
-            Read(col, tuple((j, float(f[k, j])) for j in range(k) if f[k, j]))
-            for k, col in enumerate(columns)
-        )
-        c_q, c_p = (tuple(c.tolist()) for c in f[-2:])
-        return cls(code.n_modes, reads, c_q, c_p, sigma_gkp, exact)
+        return cls(code.n_modes, tuple(columns), f, sigma_gkp, exact)
 
     def __call__(self, z, rng=None) -> DecodeOutcome:
         x = np.asarray(z, dtype=float)
@@ -88,27 +85,30 @@ class Decoder:
             raise ValueError(f"syndrome width {x.shape[-1]} does not match {self.n_modes} modes")
         seeded("rng", rng)
         gen = np.random.default_rng(rng) if self.sigma_gkp > 0 else None
+        f = self.weights.tolist()
         # one product buffer for every feed-forward term of the call
         term = np.empty(x.shape[:-1])
-        # the read that last feeds each value forward; a value is kept until then
-        last_use = {j: k for k, read in enumerate(self.reads) for j, _ in read.feed_forward}
+        # the earlier reads each read feeds forward, and the read that last
+        # feeds each value forward; a value is kept until then
+        feeds = [[j for j in range(k) if f[k][j]] for k in range(len(self.columns))]
+        last_use = {j: k for k, feed in enumerate(feeds) for j in feed}
         values = {}
         # the corrections sum c[k] * m_k left to right over the nonzero
         # weights, each term added as soon as its read is made
         sums = [None, None]
-        for k, read in enumerate(self.reads):
-            v = x[..., read.column]
-            if read.feed_forward:
+        for k, column in enumerate(self.columns):
+            v = x[..., column]
+            if feeds[k]:
                 v = v.copy()
-                for j, weight in read.feed_forward:
-                    v -= np.multiply(values[j], weight, out=term)
+                for j in feeds[k]:
+                    v -= np.multiply(values[j], f[k][j], out=term)
                     if last_use[j] == k:
                         del values[j]
             if not self.exact:
                 v = modular_measure(v, self.sigma_gkp, gen)
             if k in last_use:
                 values[k] = v
-            for i, c in enumerate((self.c_q[k], self.c_p[k])):
+            for i, c in enumerate((f[-2][k], f[-1][k])):
                 if c:
                     if sums[i] is None:
                         sums[i] = c * v

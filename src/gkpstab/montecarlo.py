@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._guard import checked, counted
+from ._guard import checked, counted, flag
 from .codes import CodeSpec
 from .noise import draw_normal, reshape_noise, stream_rng
 
@@ -160,6 +160,7 @@ def run(
     counted("n_trials", n_trials, 1)
     counted("shards", shards, 1)
     checked("sigma", sigma, "nonnegative")
+    flag("histogram", histogram)
     edges = _pilot_edges(code, decoder, sigma, seed) if histogram else None
 
     starts = range(0, n_trials, BLOCK_SIZE)

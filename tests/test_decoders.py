@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkpstab.analytic import tms_variance
 from gkpstab.codes import (
@@ -15,7 +17,6 @@ from gkpstab.codes import (
 )
 from gkpstab.decoders import (
     Decoder,
-    Read,
     gaussian_repetition_decoder,
     gkp_repetition_decoder,
     gkp_squeezed_repetition_decoder,
@@ -24,10 +25,19 @@ from gkpstab.decoders import (
 from gkpstab.modular import centered_mod, modular_measure
 from gkpstab.montecarlo import run
 from gkpstab.noise import reshape_noise, stream_rng
-from gkpstab.symplectic import compose, inverse, sum_gate, two_mode_squeeze
+from gkpstab.symplectic import (
+    beam_splitter,
+    compose,
+    inverse,
+    single_mode_squeeze,
+    sum_gate,
+    two_mode_squeeze,
+)
 
 # the acceptance suite's seed
 SEED = 20260823
+# GKP repetition's weights: no feed-forward, then c_q and c_p
+_GKP_REP_WEIGHTS = ((0.0, 0.0), (0.0, 0.0), (-0.5, 0.0), (0.0, 1.0))
 
 
 def _tms_weight(gain, sigma, sigma_gkp):
@@ -55,7 +65,7 @@ def test_gaussian_repetition_small_noise_algebra():
     xi = gen.normal(0.0, 0.2, (500, 2 * n))
     dec = gaussian_repetition_decoder(n)
     # exact reads need no feed-forward: it folds into the weights
-    assert all(read.feed_forward == () for read in dec.reads)
+    assert not dec.weights[:-2].any()
     out = dec(reshape_noise(code.encoder, xi), None)
     assert np.allclose(out.xi_q, xi[:, 0::2].mean(axis=1), atol=1e-12)
     assert np.allclose(out.xi_p, xi[:, 1::2].sum(axis=1), atol=1e-12)
@@ -79,8 +89,8 @@ def test_gkp_repetition_small_noise_is_symmetrized():
 
 def test_gkp_repetition_weights_are_exact():
     dec = gkp_repetition_decoder()
-    assert dec.reads == (Read(2), Read(3))
-    assert dec.c_q == (-0.5, 0.0) and dec.c_p == (0.0, 1.0)
+    assert dec.columns == (2, 3)
+    assert dec.weights.tolist() == [[0.0, 0.0], [0.0, 0.0], [-0.5, 0.0], [0.0, 1.0]]
 
 
 def test_gkp_repetition_zero_noise():
@@ -115,10 +125,10 @@ def test_decoder_rejects_a_bad_rng(rng, message, sigma_gkp):
 
 def test_mmse_ideal_limit():
     dec = gkp_tms_decoder(2.0, 0.1)
-    c_q, c_p = dec.c_q[0], dec.c_p[1]
-    assert c_p == pytest.approx(2.0 * math.sqrt(2.0) / 3.0, rel=1e-12, abs=0)
-    assert c_q == pytest.approx(-c_p, rel=1e-12, abs=0)
-    assert dec.c_q[1] == 0.0 and dec.c_p[0] == 0.0
+    c_q, c_p = dec.weights[-2:]
+    assert c_p[1] == pytest.approx(2.0 * math.sqrt(2.0) / 3.0, rel=1e-12, abs=0)
+    assert c_q[0] == pytest.approx(-c_p[1], rel=1e-12, abs=0)
+    assert c_q[1] == 0.0 and c_p[0] == 0.0
 
 
 def test_mmse_magnitude_below_one():
@@ -131,14 +141,14 @@ def test_mmse_magnitude_below_one():
     for gain, sigma, sigma_gkp in cases:
         dec = gkp_tms_decoder(gain, sigma, sigma_gkp)
         c = _tms_weight(gain, sigma, sigma_gkp)
-        assert dec.c_p[1] == pytest.approx(c, rel=1e-12, abs=0)
-        assert dec.c_q[0] == pytest.approx(-c, rel=1e-12, abs=0)
-        assert abs(dec.c_p[1]) < 1.0
+        assert dec.weights[-1, 1] == pytest.approx(c, rel=1e-12, abs=0)
+        assert dec.weights[-2, 0] == pytest.approx(-c, rel=1e-12, abs=0)
+        assert abs(dec.weights[-1, 1]) < 1.0
 
 
 def test_mmse_trivial_gain_measures_nothing():
     dec = gkp_tms_decoder(1.0, 0.3)
-    assert dec.c_q == (0.0, 0.0) and dec.c_p == (0.0, 0.0)
+    assert not dec.weights.any()
 
 
 def test_mmse_validation():
@@ -216,16 +226,16 @@ def test_squeezed_repetition_read_order_pins_noisy_draws():
     n_modes, lam, sigma_gkp = 3, 2.5, 0.05
     z = stream_rng(21, 6).normal(0.0, 0.2, (400, 2 * n_modes))
     dec = Decoder.for_code(gkp_squeezed_repetition(n_modes, lam, sigma_gkp), 0.2)
-    assert [read.column for read in dec.reads] == [2, 4, 5, 3]
+    assert dec.columns == (2, 4, 5, 3)
     out = dec(z, np.random.default_rng(9))
 
     gen = np.random.default_rng(9)
     values = []
-    for read in dec.reads:
-        v = z[:, read.column] - sum(w * values[j] for j, w in read.feed_forward)
+    for k, column in enumerate(dec.columns):
+        v = z[:, column] - sum(w * m for w, m in zip(dec.weights[k], values))
         values.append(modular_measure(v, sigma_gkp, gen))
-    ref_q = z[:, 0] - sum(c * v for c, v in zip(dec.c_q, values))
-    ref_p = z[:, 1] - sum(c * v for c, v in zip(dec.c_p, values))
+    ref_q = z[:, 0] - sum(c * v for c, v in zip(dec.weights[-2], values))
+    ref_p = z[:, 1] - sum(c * v for c, v in zip(dec.weights[-1], values))
     assert np.allclose(out.xi_q, ref_q, rtol=0, atol=1e-9)
     assert np.allclose(out.xi_p, ref_p, rtol=0, atol=1e-9)
 
@@ -233,9 +243,40 @@ def test_squeezed_repetition_read_order_pins_noisy_draws():
 def test_decoder_rejects_bad_ancilla_noise_at_build():
     for sigma_gkp in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError):
-            Decoder(2, (Read(2), Read(3)), (-0.5, 0.0), (0.0, 1.0), sigma_gkp)
+            Decoder(2, (2, 3), _GKP_REP_WEIGHTS, sigma_gkp)
         with pytest.raises(ValueError):
             Decoder.for_code(gkp_repetition(sigma_gkp), 0.1)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((0, (2, 3), _GKP_REP_WEIGHTS), "n_modes must be >= 1, got 0"),
+        ((True, (2, 3), _GKP_REP_WEIGHTS), "n_modes must be an integer, got True"),
+        ((2, (True, 3), _GKP_REP_WEIGHTS), "columns must be an integer, got True"),
+        ((2, (-1, 3), _GKP_REP_WEIGHTS), "columns must be >= 0, got -1"),
+        ((2, (7, 3), _GKP_REP_WEIGHTS), "columns must be below 4, got 7"),
+        ((2, (2, 3), ((0, 0), (0, 0), (math.nan, 0), (0, 1))), "weights must be finite, got nan"),
+        ((2, (2, 3), ((0, 0), (0, 0), (True, 0), (0, 1))),
+         "weights must be a real number, got ((0, 0), (0, 0), (True, 0), (0, 1))"),
+        ((2, (2, 3), _GKP_REP_WEIGHTS[1:]), "weights must have shape (4, 2), got (3, 2)"),
+        ((2, (2, 3), ((0, 1), (0, 0), (-0.5, 0), (0, 1))),
+         "weights may feed a read forward only from an earlier read"),
+        ((2, (2, 3), _GKP_REP_WEIGHTS, 0.0, "no"), "exact must be a bool, got 'no'"),
+    ],
+)
+def test_decoder_rejects_malformed_fields(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Decoder(*args)
+
+
+def test_decoder_weights_are_a_read_only_copy():
+    weights = np.array(_GKP_REP_WEIGHTS)
+    dec = Decoder(2, (2, 3), weights)
+    weights[2, 0] = 1.0
+    assert dec.weights[2, 0] == -0.5
+    with pytest.raises(ValueError, match="read-only"):
+        dec.weights[2, 0] = 1.0
 
 
 def test_for_code_rejects_bad_sigma():
@@ -251,8 +292,7 @@ def test_zero_sigma_with_noisy_ancillas_measures_nothing(code):
     """The reads are pure ancilla noise: no weight, no feed-forward."""
     with np.errstate(all="raise"):
         dec = Decoder.for_code(code, 0.0)
-    assert all(c == 0.0 for c in dec.c_q + dec.c_p)
-    assert all(read.feed_forward == () for read in dec.reads)
+    assert not dec.weights.any()
 
 
 def test_noisy_gkp_repetition_weights_are_mmse():
@@ -261,8 +301,8 @@ def test_noisy_gkp_repetition_weights_are_mmse():
     sigma, sigma_gkp = 0.1, 0.05
     dec = Decoder.for_code(gkp_repetition(sigma_gkp), sigma)
     s2, t2 = sigma**2, 2.0 * sigma_gkp**2
-    assert dec.c_q[0] == pytest.approx(-s2 / (2.0 * s2 + t2), rel=1e-12, abs=0)
-    assert dec.c_p[1] == pytest.approx(s2 / (s2 + t2), rel=1e-12, abs=0)
+    assert dec.weights[-2, 0] == pytest.approx(-s2 / (2.0 * s2 + t2), rel=1e-12, abs=0)
+    assert dec.weights[-1, 1] == pytest.approx(s2 / (s2 + t2), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("shape", [(300,), ()])
@@ -272,19 +312,20 @@ def test_feed_forward_in_place_matches_out_of_place(shape):
     n_modes = 4
     code = gkp_squeezed_repetition(n_modes, 1.8)
     dec = Decoder.for_code(code, 0.1)
-    assert any(read.feed_forward for read in dec.reads)
+    assert dec.weights[:-2].any()
     z = reshape_noise(code.encoder, stream_rng(21, 7).normal(0.0, 0.1, shape + (2 * n_modes,)))
     out = dec(z)
 
     values = []
-    for read in dec.reads:
-        v = z[..., read.column]
-        for j, weight in read.feed_forward:
-            v = v - weight * values[j]
+    for k, column in enumerate(dec.columns):
+        v = z[..., column]
+        for weight, m in zip(dec.weights[k], values):
+            if weight:
+                v = v - weight * m
         values.append(centered_mod(v))
-    terms = [c * v for c, v in zip(dec.c_q, values) if c]
+    terms = [c * v for c, v in zip(dec.weights[-2], values) if c]
     assert np.array_equal(out.xi_q, z[..., 0] - sum(terms[1:], terms[0]))
-    terms = [c * v for c, v in zip(dec.c_p, values) if c]
+    terms = [c * v for c, v in zip(dec.weights[-1], values) if c]
     assert np.array_equal(out.xi_p, z[..., 1] - sum(terms[1:], terms[0]))
 
 
@@ -295,7 +336,7 @@ def test_three_mode_code_defined_here_decodes():
     sigma, gain = 0.05, 2.0
     code = CodeSpec(compose(two_mode_squeeze(gain, 1, 2, 3), sum_gate(1, 3, 3)), 1)
     dec = Decoder.for_code(code, sigma)
-    assert any(read.feed_forward for read in dec.reads)
+    assert dec.weights[:-2].any()
     rep = run(code, dec, sigma, 200_000, seed=SEED)
     for row, std, se in ((0, rep.std_q, rep.se_var_q), (1, rep.std_p, rep.se_var_p)):
         r = _lstsq_residual(code, row)
@@ -309,3 +350,47 @@ def test_gkp_tms_pair_decodes_data_mode_one():
     var = tms_variance(sigma, gain)
     assert abs(rep.std_q**2 - var) <= 3 * rep.se_var_q
     assert abs(rep.std_p**2 - var) <= 3 * rep.se_var_p
+
+
+@st.composite
+def _random_codes(draw):
+    """One data mode and one to three ancillas, GKP (ideal or noisy) or
+    position eigenstates, behind a product of one to four random gates."""
+    n = draw(st.integers(2, 4))
+    gates = []
+    for _ in range(draw(st.integers(1, 6))):
+        a, b = draw(st.permutations(range(1, n + 1)))[:2]
+        # away from the identity and the swap, so that reads overlap and feed forward
+        x = draw(st.floats(0.1, 0.9))
+        gates.append(draw(st.sampled_from((
+            lambda: sum_gate(a, b, n),
+            lambda: single_mode_squeeze(math.exp(2.0 * x - 1.0), a, n),
+            lambda: two_mode_squeeze(1.0 + 4.0 * x, a, b, n),
+            lambda: beam_splitter(x, a, b, n),
+        )))())
+    kind, sigma_gkp = draw(st.sampled_from((("gkp", 0.0), ("gkp", 0.05), ("position", 0.0))))
+    return CodeSpec(compose(*gates), 1, kind, sigma_gkp)
+
+
+@settings(max_examples=60)
+@given(code=_random_codes(), sigma=st.floats(0.05, 0.5), seed=st.integers(0, 2**32))
+def test_random_codes_decode_as_an_explicit_walk(code, sigma, seed):
+    """`__call__`'s in-place walk of `columns` and `weights` gives the bits
+    of an out-of-place walk with its own modular_measure calls, whose
+    generator takes the same seed."""
+    dec = Decoder.for_code(code, sigma)
+    z = reshape_noise(code.encoder, stream_rng(21, 8).normal(0.0, sigma, (64, 2 * code.n_modes)))
+    for x in (z, z[0]):
+        out = dec(x, np.random.default_rng(seed))
+        gen = np.random.default_rng(seed)
+        values = []
+        for k, column in enumerate(dec.columns):
+            v = x[..., column]
+            for weight, m in zip(dec.weights[k], values):
+                if weight:
+                    v = v - weight * m
+            values.append(v if dec.exact else modular_measure(v, dec.sigma_gkp, gen))
+        for got, data, c in ((out.xi_q, x[..., 0], dec.weights[-2]),
+                             (out.xi_p, x[..., 1], dec.weights[-1])):
+            terms = [w * m for w, m in zip(c, values) if w]
+            assert np.array_equal(got, data - sum(terms[1:], terms[0]) if terms else data)

@@ -317,6 +317,16 @@ def test_counts_must_be_integers(kwargs, message):
         run(gkp_repetition(), gkp_repetition_decoder(), 0.3, **args)
 
 
+def test_histogram_must_be_a_bool():
+    # a truthy string used to bin anyway
+    for bad in ("no", 1, None):
+        message = f"histogram must be a bool, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run(gkp_repetition(), gkp_repetition_decoder(), 0.3, 10, seed=1, histogram=bad)
+    assert run(gkp_repetition(), gkp_repetition_decoder(), 0.3, 10, seed=1,
+               histogram=np.False_).counts_q is None
+
+
 def test_non_finite_sigma_rejected():
     for sigma in (math.nan, math.inf):
         with pytest.raises(ValueError):
