@@ -1,8 +1,9 @@
-"""The rule for real arguments (not a bool, finite, and positive,
-nonnegative, >= 1, > 1 or in [0, 1], or finite alone), the rule for counts,
-seeds and mode indices (an integer of at least a bound), the rule for random
-sources (None, a Generator or a seed), the rule for flags (a bool) and the
-shape rule for results (a float for 0-d, else an array)."""
+"""The rule for real arguments (not a bool or a complex, finite, and
+positive, nonnegative, >= 1, > 1 or in [0, 1], or finite alone) and the
+read-only float copy a record holds of one, the rule for counts, seeds and
+mode indices (an integer of at least a bound), the rule for random sources
+(None, a Generator or a seed), the rule for flags (a bool) and the shape rule
+for results (a float for 0-d, else an array)."""
 
 from __future__ import annotations
 
@@ -21,13 +22,15 @@ _BOUNDS = {
 }
 # the fast path's types; not bool, which would pass as the number 0 or 1
 _SCALARS = (float, int, np.float64)
+# what numpy would turn into a number, or compare in lexicographic order
+_NOT_REAL = (bool, np.bool_, complex, np.complexfloating)
 
 
 def checked(name: str, value, kind: str):
-    """`value`, unchanged, once it is not a bool and holds none (python or
-    numpy, scalar, bool-dtype array or an element of a list, tuple or object
-    array) and it, or each of its elements, is finite and `kind`; the
-    ValueError names the argument and the value at fault."""
+    """`value`, unchanged, once it is not a bool or a complex and holds none
+    (python or numpy, scalar, bool- or complex-dtype array or an element of a
+    list, tuple or object array) and it, or each of its elements, is finite
+    and `kind`; the ValueError names the argument and the value at fault."""
     lo, lo_out, hi, hi_out = _BOUNDS[kind]
     # NaN fails every comparison
     if type(value) in _SCALARS:
@@ -36,7 +39,10 @@ def checked(name: str, value, kind: str):
         bad = value
     else:
         v = np.asarray(value)
-        if v.dtype == bool or holds_bool(value):
+        # numpy has made a number of a bool inside a list: scan raw elements
+        scan = isinstance(value, (list, tuple)) or v.dtype == object
+        if v.dtype.kind in "bc" or scan and any(
+                isinstance(x, _NOT_REAL) for x in np.asarray(value, object).flat):
             raise ValueError(f"{name} must be a real number, got {value!r}")
         ok = (v > lo if lo_out else v >= lo) & (v < hi if hi_out else v <= hi)
         if np.count_nonzero(ok) == ok.size:
@@ -46,11 +52,12 @@ def checked(name: str, value, kind: str):
     raise ValueError(f"{name} must be {rule}, got {bad}")
 
 
-def holds_bool(value) -> bool:
-    """Whether a list, tuple or object array `value` holds a python or numpy
-    bool, which numpy would turn into a number; other arrays are not scanned."""
-    scan = isinstance(value, (list, tuple)) or getattr(value, "dtype", None) == object
-    return scan and any(isinstance(x, (bool, np.bool_)) for x in np.asarray(value, object).flat)
+def frozen(name: str, value, kind: str) -> np.ndarray:
+    """A read-only float copy of `value` once `checked` accepts it: the
+    caller's array stays its own, and the record's cannot change."""
+    out = np.array(checked(name, value, kind), dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 def counted(name: str, value, least: int):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf, erfc, ndtr
 
-from ._guard import checked, shaped
+from ._guard import checked, frozen, shaped
 from .codes import CodeSpec, gkp_repetition
 from .decoders import read_rows
 from .modular import MODULAR_PERIOD
@@ -137,16 +137,14 @@ class MixturePdf:
     base_sigma: float
 
     def __post_init__(self):
-        w = np.asarray(checked("weights", self.weights, "nonnegative"), dtype=float)
-        s = np.asarray(checked("shifts", self.shifts, "finite"), dtype=float)
+        w = frozen("weights", self.weights, "nonnegative")
+        s = frozen("shifts", self.shifts, "finite")
         if w.shape != s.shape or w.ndim != 1 or w.size == 0:
             raise ValueError("weights and shifts must be matching 1-d arrays")
         total = w.sum()
         if not (1.0 - 1e-10 <= total <= 1.0 + 1e-12):
             raise ValueError(f"mixture weights sum to {total}, expected 1")
         checked("base_sigma", self.base_sigma, "positive")
-        w.flags.writeable = False
-        s.flags.writeable = False
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "shifts", s)
 

@@ -51,6 +51,8 @@ class CodeSpec:
     ancilla_sigma_gkp: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.encoder, SymplecticTransform):
+            raise ValueError(f"encoder must be a SymplecticTransform, got {type(self.encoder).__name__}")
         if self.ancilla_kind not in _ANCILLA_KINDS:
             raise ValueError(
                 f"ancilla_kind must be one of {_ANCILLA_KINDS}, got {self.ancilla_kind!r}"

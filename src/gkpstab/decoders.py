@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codes
-from ._guard import checked, counted, flag, seeded
+from ._guard import checked, counted, flag, frozen, seeded
 from .modular import modular_measure
 from .symplectic import inverse
 
@@ -56,13 +56,12 @@ class Decoder:
         for column in self.columns:
             if counted("columns", column, 0) >= 2 * self.n_modes:
                 raise ValueError(f"columns must be below {2 * self.n_modes}, got {column}")
-        weights = np.array(checked("weights", self.weights, "finite"), dtype=float)
+        weights = frozen("weights", self.weights, "finite")
         r = len(self.columns)
         if weights.shape != (r + 2, r):
             raise ValueError(f"weights must have shape {(r + 2, r)}, got {weights.shape}")
         if np.triu(weights[:r]).any():
             raise ValueError("weights may feed a read forward only from an earlier read")
-        weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
         checked("sigma_gkp", self.sigma_gkp, "nonnegative")
         flag("exact", self.exact)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._guard import checked, counted, holds_bool
+from ._guard import checked, counted, frozen
 
 __all__ = [
     "SymplecticTransform",
@@ -47,17 +47,10 @@ class SymplecticTransform:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix)
-        if m.dtype.kind in "bc" or holds_bool(self.matrix):
-            got = m.dtype if m.dtype.kind == "c" else "bool"
-            raise ValueError(f"matrix entries must be real, got {got}")
-        m = np.array(m, dtype=float)
+        m = frozen("matrix", self.matrix, "finite")
         n = len(m) // 2 if m.ndim else 0
         if n < 1 or m.shape != (2 * n, 2 * n):
             raise ValueError(f"matrix shape {m.shape} is not 2N x 2N with N >= 1")
-        if not np.isfinite(m).all():
-            raise ValueError("matrix entries must be finite")
-        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
     @property

@@ -193,15 +193,16 @@ def threshold_sigma(sigma_gkp: float = 0.0, tol: float = 1e-4):
 
 
 def _bisect(lo, hi, tol, raises_lo):
-    # halve [lo, hi] until it is no wider than tol and return its midpoint;
-    # raises_lo(mid) says whether mid becomes the new lo or the new hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+    # halve [lo, hi] to a width of at most tol, or to two adjacent floats,
+    # and return its midpoint; raises_lo(mid) says whether mid becomes lo or hi
+    mid = 0.5 * (lo + hi)
+    while hi - lo > tol and lo < mid < hi:
         if raises_lo(mid):
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def _any_window(sigma_gkp: float) -> bool:

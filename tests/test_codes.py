@@ -156,6 +156,9 @@ def test_code_spec_validation():
         CodeSpec(encoder=enc, data_modes=1, ancilla_kind="thermal")
     with pytest.raises(ValueError):
         CodeSpec(encoder=enc, data_modes=1, ancilla_sigma_gkp=-0.1)
+    # a bare matrix used to fail on its missing n_modes with an AttributeError
+    with pytest.raises(ValueError, match="^encoder must be a SymplecticTransform, got ndarray$"):
+        CodeSpec(encoder=np.eye(4), data_modes=1)
 
 
 def test_code_spec_rejects_non_finite_ancilla_noise():

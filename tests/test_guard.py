@@ -110,13 +110,16 @@ def test_counted_takes_integers_of_at_least_the_bound():
          "weights must be a real number, got array([ True, False])"),
         (lambda: MixturePdf(np.array([1.0]), [False], 1.0),
          "shifts must be a real number, got [False]"),
-        (lambda: SymplecticTransform(np.eye(2, dtype=bool)), "matrix entries must be real, got bool"),
+        (lambda: SymplecticTransform(np.eye(2, dtype=bool)),
+         "matrix must be a real number, got array([[ True, False],\n"
+         "       [False,  True]])"),
         (lambda: SymplecticTransform([[True, 0.0], [0.0, True]]),
-         "matrix entries must be real, got bool"),
+         "matrix must be a real number, got [[True, 0.0], [0.0, True]]"),
         (lambda: SymplecticTransform(((1.0, 0.0), (0.0, np.bool_(True)))),
-         "matrix entries must be real, got bool"),
+         "matrix must be a real number, got ((1.0, 0.0), (0.0, np.True_))"),
         (lambda: SymplecticTransform(np.array([[1.0, 0.0], [0.0, True]], dtype=object)),
-         "matrix entries must be real, got bool"),
+         "matrix must be a real number, got array([[1.0, 0.0],\n"
+         "       [0.0, True]], dtype=object)"),
         (lambda: draw_normal(stream_rng(1), True, (2,)), "sigma must be a real number, got True"),
         (lambda: cmd_appendix_d(ExperimentConfig("appendix-d", sigma_min=0.01, sigma_max=0.05,
                                                  points=2, n_trials=10), wrap_constant=True),
@@ -125,12 +128,34 @@ def test_counted_takes_integers_of_at_least_the_bound():
         # numpy turns a bool inside a list into a float before the check
         (lambda: tms_variance([True, 0.5], 2.0), "sigma must be a real number, got [True, 0.5]"),
         (lambda: optimize([True, 0.1]), "sigma must be a real number, got [True, 0.1]"),
+        # numpy orders complex values lexicographically, so each of these
+        # passed the bounds, and a record dropped the imaginary part
+        (lambda: checked("x", 0.1 + 1j, "positive"), "x must be a real number, got (0.1+1j)"),
+        (lambda: checked("x", np.complex128(0.5), "in [0, 1]"),
+         "x must be a real number, got np.complex128(0.5+0j)"),
+        (lambda: checked("x", np.array([0.5, 1j]), "finite"),
+         "x must be a real number, got array([0.5+0.j, 0. +1.j])"),
+        (lambda: checked("x", [0.5, np.complex64(1j)], "nonnegative"),
+         "x must be a real number, got [0.5, np.complex64(1j)]"),
+        # the comparison raised a bare TypeError here
+        (lambda: checked("x", np.array([0.5, 1j], dtype=object), ">= 1"),
+         "x must be a real number, got array([0.5, 1j], dtype=object)"),
+        (lambda: Decoder.for_code(gkp_tms(2.0), 0.1 + 1j),
+         "sigma must be a real number, got (0.1+1j)"),
+        (lambda: Decoder(1, (1,), [[0.0], [1.0 + 0j], [0.0]]),
+         "weights must be a real number, got [[0.0], [(1+0j)], [0.0]]"),
+        (lambda: MixturePdf(np.array([1.0 + 0j]), np.array([0.0]), 1.0),
+         "weights must be a real number, got array([1.+0.j])"),
+        (lambda: beam_splitter(0.5 + 0j, 1, 2, 2),
+         "transmissivity must be a real number, got (0.5+0j)"),
     ],
     ids=["two_mode_squeeze", "tms_variance", "run", "gkp_tms", "optimize", "beam_splitter",
          "gkp_sigma_from_db", "sigma_max", "sigma_min", "mixture_weights", "mixture_shifts",
          "transform_matrix", "transform_nested_list", "transform_tuple",
          "transform_object_array", "draw_normal", "wrap_constant", "is_symplectic",
-         "tms_variance_list", "optimize_list"],
+         "tms_variance_list", "optimize_list", "complex", "numpy_complex", "complex_array",
+         "complex_in_list", "complex_in_object_array", "for_code_complex_sigma",
+         "decoder_complex_weights", "mixture_complex_weights", "beam_splitter_complex"],
 )
 def test_real_arguments_reject_a_bool(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -145,6 +170,27 @@ def test_checked_rejects_every_bool_form(kind):
     for bad in (True, False, np.bool_(True), np.array(True), np.array([True, False])) + inside:
         with pytest.raises(ValueError, match=r"^x must be a real number, got "):
             checked("x", bad, kind)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda a: SymplecticTransform(a[:2, :2]), "matrix"),
+        (lambda a: Decoder(1, (1,), a[1:, 2:3]), "weights"),
+        (lambda a: MixturePdf(a[0, :1], a[1, :1], 1.0), "weights"),
+        (lambda a: MixturePdf(a[0, :1], a[1, :1], 1.0), "shifts"),
+    ],
+    ids=["transform", "decoder", "mixture_weights", "mixture_shifts"],
+)
+def test_records_hold_a_read_only_copy(build, field):
+    # the record freezes its own float copy, never the caller's array
+    a = np.eye(4)
+    record = build(a)
+    held = getattr(record, field)
+    assert not held.flags.writeable and not np.shares_memory(held, a)
+    assert a.flags.writeable
+    a[:] = 7.0
+    assert 7.0 not in held
 
 
 def test_checked_unit_interval():

@@ -203,6 +203,31 @@ def test_the_sampler_imports_no_closed_form():
     assert reached == []
 
 
+def test_only_the_guard_spells_the_array_rule():
+    # the real-number rule and the copy-and-freeze step of the arrays a
+    # record holds live in _guard; the one other read-only array is
+    # symplectic._omega's cached constant
+    src = Path(__file__).resolve().parents[1] / "src" / "gkpstab"
+    faults = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "_guard":
+            continue
+        tree = ast.parse(path.read_text())
+        cached = {id(node) for fn in tree.body if getattr(fn, "name", None) == "_omega"
+                  for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            attr = getattr(node, "attr", None)
+            inner = getattr(getattr(node, "value", None), "attr", None)
+            if (attr, inner) == ("kind", "dtype"):
+                faults.append(f"{path.name}:{node.lineno} reads .dtype.kind")
+            elif "holds_bool" in (attr, getattr(node, "id", None), getattr(node, "name", None)):
+                faults.append(f"{path.name}:{node.lineno} uses holds_bool")
+            elif id(node) not in cached and (attr == "setflags" or (attr, inner) == (
+                    "writeable", "flags") and isinstance(node.ctx, ast.Store)):
+                faults.append(f"{path.name}:{node.lineno} sets .flags.writeable")
+    assert faults == []
+
+
 def test_the_closed_forms_hold_no_read_model():
     # which rows a decoder reads, and how they are orthogonalised, are
     # derived in decoders alone; analytic takes them from there

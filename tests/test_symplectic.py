@@ -199,14 +199,14 @@ def test_transform_rejects_a_matrix_that_is_not_2n_by_2n(shape):
 def test_transform_rejects_non_finite_entries(bad):
     m = np.eye(4)
     m[2, 1] = bad
-    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+    with pytest.raises(ValueError, match=f"^matrix must be finite, got {bad}$"):
         SymplecticTransform(m)
 
 
 @pytest.mark.parametrize("matrix", [np.eye(2) * (1 + 1j), np.eye(4, dtype=complex)])
 def test_transform_rejects_a_complex_matrix(matrix):
     # casting to float would drop the imaginary part without an error
-    with pytest.raises(ValueError, match="^matrix entries must be real, got complex128$"):
+    with pytest.raises(ValueError, match=r"^matrix must be a real number, got array\(\[\["):
         SymplecticTransform(matrix)
 
 

@@ -282,6 +282,24 @@ def test_searches_keep_their_bits():
     assert threshold_sigma(gkp_sigma_from_db(20.0)).hex() == "0x1.16bd70a3d70a4p-1"
 
 
+def test_a_tolerance_below_the_float_spacing_ends_the_search(monkeypatch):
+    # once the bracket is two adjacent floats its midpoint is one of them,
+    # so a tolerance finer than their spacing used to loop forever
+    calls = []
+
+    def limited(f):
+        def call(*args):
+            calls.append(args)
+            assert len(calls) < 200, "the search does not end"
+            return f(*args)
+        return call
+
+    assert abs(tuning._bisect(0.0, 1.0, 1e-300, limited(lambda mid: mid < 0.3)) - 0.3) < 1e-15
+    calls.clear()
+    monkeypatch.setattr(tuning, "optimize", limited(tuning.optimize))
+    assert abs(threshold_sigma(tol=1e-300) - threshold_sigma()) < 1e-4
+
+
 @pytest.mark.slow
 def test_critical_squeezing_keeps_its_bits():
     assert critical_gkp_squeezing_db() == 10.9091796875
