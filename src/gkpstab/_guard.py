@@ -27,10 +27,10 @@ _NOT_REAL = (bool, np.bool_, complex, np.complexfloating)
 
 
 def checked(name: str, value, kind: str):
-    """`value`, unchanged, once it is not a bool or a complex and holds none
-    (python or numpy, scalar, bool- or complex-dtype array or an element of a
-    list, tuple or object array) and it, or each of its elements, is finite
-    and `kind`; the ValueError names the argument and the value at fault."""
+    """`value`, unchanged, once it is a real number, or an integer, float or
+    object array or a list or tuple, that holds no bool or complex, and it,
+    or each of its elements, is finite and `kind`; the ValueError names the
+    argument and the value at fault."""
     lo, lo_out, hi, hi_out = _BOUNDS[kind]
     # NaN fails every comparison
     if type(value) in _SCALARS:
@@ -39,9 +39,9 @@ def checked(name: str, value, kind: str):
         bad = value
     else:
         v = np.asarray(value)
-        # numpy has made a number of a bool inside a list: scan raw elements
+        # a bool in a list became a number, an object array is untyped: scan
         scan = isinstance(value, (list, tuple)) or v.dtype == object
-        if v.dtype.kind in "bc" or scan and any(
+        if v.dtype.kind not in "iufO" or scan and any(
                 isinstance(x, _NOT_REAL) for x in np.asarray(value, object).flat):
             raise ValueError(f"{name} must be a real number, got {value!r}")
         ok = (v > lo if lo_out else v >= lo) & (v < hi if hi_out else v <= hi)

@@ -156,7 +156,7 @@ def test_code_spec_validation():
         CodeSpec(encoder=enc, data_modes=1, ancilla_kind="thermal")
     with pytest.raises(ValueError):
         CodeSpec(encoder=enc, data_modes=1, ancilla_sigma_gkp=-0.1)
-    # a bare matrix used to fail on its missing n_modes with an AttributeError
+    # a bare matrix has no n_modes: the error names the argument instead
     with pytest.raises(ValueError, match="^encoder must be a SymplecticTransform, got ndarray$"):
         CodeSpec(encoder=np.eye(4), data_modes=1)
 

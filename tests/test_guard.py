@@ -148,6 +148,9 @@ def test_counted_takes_integers_of_at_least_the_bound():
          "weights must be a real number, got array([1.+0.j])"),
         (lambda: beam_splitter(0.5 + 0j, 1, 2, 2),
          "transmissivity must be a real number, got (0.5+0j)"),
+        # numpy parsed the strings as the identity matrix
+        (lambda: SymplecticTransform([["1", "0"], ["0", "1"]]),
+         "matrix must be a real number, got [['1', '0'], ['0', '1']]"),
     ],
     ids=["two_mode_squeeze", "tms_variance", "run", "gkp_tms", "optimize", "beam_splitter",
          "gkp_sigma_from_db", "sigma_max", "sigma_min", "mixture_weights", "mixture_shifts",
@@ -155,7 +158,8 @@ def test_counted_takes_integers_of_at_least_the_bound():
          "transform_object_array", "draw_normal", "wrap_constant", "is_symplectic",
          "tms_variance_list", "optimize_list", "complex", "numpy_complex", "complex_array",
          "complex_in_list", "complex_in_object_array", "for_code_complex_sigma",
-         "decoder_complex_weights", "mixture_complex_weights", "beam_splitter_complex"],
+         "decoder_complex_weights", "mixture_complex_weights", "beam_splitter_complex",
+         "transform_strings"],
 )
 def test_real_arguments_reject_a_bool(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -284,7 +284,7 @@ def test_searches_keep_their_bits():
 
 def test_a_tolerance_below_the_float_spacing_ends_the_search(monkeypatch):
     # once the bracket is two adjacent floats its midpoint is one of them,
-    # so a tolerance finer than their spacing used to loop forever
+    # and no halving meets a tolerance finer than their spacing
     calls = []
 
     def limited(f):
