@@ -1,4 +1,4 @@
-"""The rule for real arguments (not a bool or a complex, finite, and
+"""The rule for real arguments (a real number, not a bool, finite, and
 positive, nonnegative, >= 1, > 1 or in [0, 1], or finite alone) and the
 read-only float copy a record holds of one, the rule for counts, seeds and
 mode indices (an integer of at least a bound), the rule for random sources
@@ -8,6 +8,7 @@ for results (a float for 0-d, else an array)."""
 from __future__ import annotations
 
 import math
+from numbers import Real
 
 import numpy as np
 
@@ -22,15 +23,13 @@ _BOUNDS = {
 }
 # the fast path's types; not bool, which would pass as the number 0 or 1
 _SCALARS = (float, int, np.float64)
-# what numpy would turn into a number, or compare in lexicographic order
-_NOT_REAL = (bool, np.bool_, complex, np.complexfloating)
 
 
 def checked(name: str, value, kind: str):
     """`value`, unchanged, once it is a real number, or an integer, float or
-    object array or a list or tuple, that holds no bool or complex, and it,
-    or each of its elements, is finite and `kind`; the ValueError names the
-    argument and the value at fault."""
+    object array or a list or tuple that holds only real numbers, no bool,
+    and it, or each of its elements, is finite and `kind`; the ValueError
+    names the argument and the value at fault."""
     lo, lo_out, hi, hi_out = _BOUNDS[kind]
     # NaN fails every comparison
     if type(value) in _SCALARS:
@@ -42,7 +41,8 @@ def checked(name: str, value, kind: str):
         # a bool in a list became a number, an object array is untyped: scan
         scan = isinstance(value, (list, tuple)) or v.dtype == object
         if v.dtype.kind not in "iufO" or scan and any(
-                isinstance(x, _NOT_REAL) for x in np.asarray(value, object).flat):
+                not isinstance(x, Real) or isinstance(x, bool)
+                for x in np.asarray(value, object).flat):
             raise ValueError(f"{name} must be a real number, got {value!r}")
         ok = (v > lo if lo_out else v >= lo) & (v < hi if hi_out else v <= hi)
         if np.count_nonzero(ok) == ok.size:

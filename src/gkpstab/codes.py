@@ -129,6 +129,10 @@ def gkp_squeezed_repetition(n_modes: int, lam: float, sigma_gkp: float = 0.0) ->
     """
     counted("n_modes", n_modes, 2)
     checked("lam", lam, "> 1")
+    try:
+        float(lam) ** (n_modes - 1)  # the largest squeezing of the circuit
+    except OverflowError:
+        raise ValueError(f"lam ** (n_modes - 1) must be finite, got lam={lam}") from None
     enc = compose(
         single_mode_squeeze(1.0 / lam, 1, 2),
         single_mode_squeeze(lam, 2, 2),

@@ -84,4 +84,7 @@ def gkp_sigma_from_db(squeeze_db: float) -> float:
     if squeeze_db == math.inf:
         return 0.0
     checked("squeeze_db", squeeze_db, "finite")
-    return math.sqrt(10.0 ** (-squeeze_db / 10.0) / 2.0)
+    try:
+        return math.sqrt(10.0 ** (-squeeze_db / 10.0) / 2.0)
+    except OverflowError:
+        raise ValueError(f"squeeze_db must keep the noise variance finite, got {squeeze_db}") from None

@@ -26,6 +26,7 @@ __all__ = [
 
 _OBJECTIVES = ("exact", "erfc_approx", "noisy_gkp")
 _GRID_POINTS = 256
+_REL_TOL = 1e-6
 _SCAN_CHUNK = 10
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -74,50 +75,35 @@ def _each(fn, x) -> np.ndarray:
     return np.array([fn(v) for v in x], dtype=float)
 
 
-def _grids(sigma, points: int) -> np.ndarray:
+def _grids(sigma) -> np.ndarray:
     # one geometric gain grid per sigma, from G = 1 to where the amplified
     # noise spans a measurement cell
     top = np.maximum(2.0, math.pi / (2.0 * sigma * sigma))
-    return np.geomspace(1.0, top, points, axis=-1)
+    return np.geomspace(1.0, top, _GRID_POINTS, axis=-1)
 
 
-def _golden_min(fun, sigma, lo, hi, rel_tol: float = 1e-6) -> np.ndarray:
+def _golden_min(fun, sigma, lo, hi) -> np.ndarray:
     # one golden-section search per sigma, in log space where the variance
     # is smooth and unimodal.  The searches run in lockstep, with one
-    # objective call per step over the sigmas still searching.  Each keeps
-    # its bracket in Python floats, as a lone search does, so it evaluates
-    # exactly the gains of a lone search; for the few dozen sigmas of a
-    # curve that also beats numpy's per-call overhead
-    a, b = [math.log(x) for x in lo], [math.log(x) for x in hi]
-    c = [y - _INVPHI * (y - x) for x, y in zip(a, b)]
-    d = [x + _INVPHI * (y - x) for x, y in zip(a, b)]
-    fc = fun(sigma, _each(math.exp, c)).tolist()
-    fd = fun(sigma, _each(math.exp, d)).tolist()
-    live = [i for i in range(len(a)) if b[i] - a[i] > rel_tol]
-    searching = sigma[live]
-    while live:
-        left = [fc[i] < fd[i] for i in live]
-        probes = []
-        for i, go_left in zip(live, left):
-            if go_left:
-                b[i], d[i], fd[i] = d[i], c[i], fc[i]
-                c[i] = b[i] - _INVPHI * (b[i] - a[i])
-                probes.append(c[i])
-            else:
-                a[i], c[i], fc[i] = c[i], d[i], fd[i]
-                d[i] = a[i] + _INVPHI * (b[i] - a[i])
-                probes.append(d[i])
-        values = fun(searching, _each(math.exp, probes)).tolist()
-        for i, go_left, value in zip(live, left, values):
-            if go_left:
-                fc[i] = value
-            else:
-                fd[i] = value
-        still = [i for i in live if b[i] - a[i] > rel_tol]
-        if len(still) < len(live):
-            searching = sigma[still]
-        live = still
-    return _each(math.exp, [0.5 * (x + y) for x, y in zip(a, b)])
+    # objective call per step over the rows still searching.  float64 +, -,
+    # * and < round on arrays as on Python floats, and exp and log go per
+    # element, so each row evaluates exactly the gains of its lone search
+    a, b = _each(math.log, lo), _each(math.log, hi)
+    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    fc, fd = fun(sigma, _each(math.exp, c)), fun(sigma, _each(math.exp, d))
+    rows = np.flatnonzero(b - a > _REL_TOL)
+    while rows.size:
+        left = fc[rows] < fd[rows]
+        # rows i keep the left part of their bracket, rows j the right
+        i, j = rows[left], rows[~left]
+        b[i], d[i], fd[i] = d[i], c[i], fc[i]
+        a[j], c[j], fc[j] = c[j], d[j], fd[j]
+        c[i] = b[i] - _INVPHI * (b[i] - a[i])
+        d[j] = a[j] + _INVPHI * (b[j] - a[j])
+        values = fun(sigma[rows], _each(math.exp, np.where(left, c[rows], d[rows])))
+        fc[i], fd[j] = values[left], values[~left]
+        rows = rows[b[rows] - a[rows] > _REL_TOL]
+    return _each(math.exp, 0.5 * (a + b))
 
 
 def optimize(sigma, sigma_gkp: float = 0.0, objective: str = "exact") -> GainOptimum:
@@ -136,7 +122,7 @@ def optimize(sigma, sigma_gkp: float = 0.0, objective: str = "exact") -> GainOpt
     fun = _objective(objective, sigma_gkp)
     shape, sig = sig.shape, sig.reshape(-1)
 
-    grids = _grids(sig, _GRID_POINTS)
+    grids = _grids(sig)
     values = fun(sig[:, None], grids)
     k = np.argmin(values, axis=-1)
     rows = np.arange(sig.size)

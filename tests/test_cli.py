@@ -392,6 +392,23 @@ def test_main_exit_codes(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        ("fig8 --points 2 --gkp-db -7000", "squeeze_db"),
+        ("sweep --code squeezed-rep --modes 3 --lam 1e200 --points 2 --trials 100", "lam"),
+        ("appendix-d --sigma-min 1e-300 --sigma-max 0.01 --points 2 --trials 1000", "lam"),
+    ],
+    ids=["fig8", "sweep", "appendix-d"],
+)
+def test_config_error_names_an_argument_that_overflows(argv, name, capsys):
+    # each raised a bare OverflowError, and the CLI printed a traceback
+    with pytest.raises(SystemExit) as err:
+        main(argv.split())
+    assert err.value.code == 2
+    assert capsys.readouterr().err.startswith(f"gkpstab: config error: {name} ")
+
+
 def test_config_error_names_the_seed_of_an_experiment_that_never_samples(capsys):
     for name in ("fig45", "fig8"):
         with pytest.raises(SystemExit) as err:

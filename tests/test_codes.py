@@ -122,6 +122,10 @@ def test_squeezed_repetition_validation():
         gkp_squeezed_repetition(3, 1.0)
     with pytest.raises(ValueError):
         gkp_squeezed_repetition(3, 0.5)
+    # lam ** 2 is beyond float range; it raised a bare OverflowError
+    with pytest.raises(ValueError, match=r"^lam \*\* \(n_modes - 1\) must be finite, "
+                                         r"got lam=1e\+200$"):
+        gkp_squeezed_repetition(3, 1e200)
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,8 @@ from gkpstab.symplectic import (
 )
 from gkpstab.tuning import optimize
 
+# a value that is no number at all
+_OBJECT = object()
 # the lower bound of each kind whose upper bound is infinite
 _BOUNDARY = {
     "positive": 0.0, "nonnegative": 0.0, ">= 1": 1.0, "> 1": 1.0, "finite": -math.inf,
@@ -151,6 +153,10 @@ def test_counted_takes_integers_of_at_least_the_bound():
         # numpy parsed the strings as the identity matrix
         (lambda: SymplecticTransform([["1", "0"], ["0", "1"]]),
          "matrix must be a real number, got [['1', '0'], ['0', '1']]"),
+        # the comparison raised a bare TypeError here too
+        (lambda: checked("x", None, "finite"), "x must be a real number, got None"),
+        (lambda: checked("x", _OBJECT, "finite"), f"x must be a real number, got {_OBJECT!r}"),
+        (lambda: tms_variance([0.1, None], 2.0), "sigma must be a real number, got [0.1, None]"),
     ],
     ids=["two_mode_squeeze", "tms_variance", "run", "gkp_tms", "optimize", "beam_splitter",
          "gkp_sigma_from_db", "sigma_max", "sigma_min", "mixture_weights", "mixture_shifts",
@@ -159,7 +165,7 @@ def test_counted_takes_integers_of_at_least_the_bound():
          "tms_variance_list", "optimize_list", "complex", "numpy_complex", "complex_array",
          "complex_in_list", "complex_in_object_array", "for_code_complex_sigma",
          "decoder_complex_weights", "mixture_complex_weights", "beam_splitter_complex",
-         "transform_strings"],
+         "transform_strings", "none", "object", "none_in_list"],
 )
 def test_real_arguments_reject_a_bool(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

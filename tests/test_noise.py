@@ -97,6 +97,13 @@ def test_gkp_sigma_from_db_rejects_non_finite(bad):
         gkp_sigma_from_db(bad)
 
 
+def test_gkp_sigma_from_db_names_a_squeezing_whose_variance_overflows():
+    # 10 ** 700 is beyond float range; it raised a bare OverflowError
+    with pytest.raises(ValueError, match=r"^squeeze_db must keep the noise variance finite, "
+                                         r"got -7000\.0$"):
+        gkp_sigma_from_db(-7000.0)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_noise_strengths_reject_non_finite(bad):
     with pytest.raises(ValueError, match=f"got {bad}"):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -183,7 +184,7 @@ def test_edge_sigmas_take_the_unit_gain_branch():
     for objective, sigma_gkp in _CASES:
         sigma = 0.55 if sigma_gkp == 0.05 else 0.556
         fun = tuning._objective(objective, sigma_gkp)
-        values = fun(sigma, tuning._grids(np.array([sigma]), 256)[0])
+        values = fun(sigma, tuning._grids(np.array([sigma]))[0])
         assert np.argmin(values) == 0
         assert values[0] > fun(sigma, 1.0 + 1e-9)
         assert optimize(sigma, sigma_gkp, objective).g_star > 1.0
@@ -280,6 +281,33 @@ def test_searches_keep_their_bits():
         assert [v.hex() for v in dataclasses.astuple(optimize(*args))] == fields, args
     assert threshold_sigma().hex() == "0x1.1df0a3d70a3d8p-1"
     assert threshold_sigma(gkp_sigma_from_db(20.0)).hex() == "0x1.16bd70a3d70a4p-1"
+
+
+# sha256 of every GainOptimum field's bytes, field after field, for the
+# lockstep grids of the CLI: fig45's, and fig8's at each of its ancilla
+# levels; their rows end their searches at different steps
+_PINNED_GRIDS = [
+    ((np.linspace(0.02, 0.6, 30),),
+     "ccc64eb01af50151dc97fb720d928a99124361aa7abf683c97317e15ff641b8c"),
+    *(((np.linspace(0.05, 0.6, 12), gkp_sigma_from_db(db), "noisy_gkp"), digest)
+      for db, digest in [
+          (11.0, "c27f423bb36eaa3fbfe79f08ccd2f138a0ff9ea94cce25cfd86c6d996ca2776d"),
+          (12.8, "d9547e4162eb578c5b67b1c596db50ad4f011c234465f12e046dd07022a908fc"),
+          (15.0, "c19e39ebff113befca4e69749deb3f8446c8747ed356d479a0b5a970ea34c771"),
+          (20.0, "db0a0356721a0ea96e7eb7b926d6ea5059e31143a28f0f9588bc60b816a17055"),
+          (25.0, "c9f629ccbead86b0c48205f1c05a62bd8e8597e0fdda70122f57e4bbc710982d"),
+          (30.0, "9309f0e227179420914b112a578cbbbfe9666beff5e0307df2b98398626fb283"),
+          (math.inf, "9f38d0e65b0fe56378f300e9ca859ac01aea9d931dfe9cc78039bcf9a3389447"),
+      ]),
+]
+
+
+def test_lockstep_grids_keep_their_bits():
+    for args, digest in _PINNED_GRIDS:
+        h = hashlib.sha256()
+        for field in dataclasses.astuple(optimize(*args)):
+            h.update(field.tobytes())
+        assert h.hexdigest() == digest, args[1:]
 
 
 def test_a_tolerance_below_the_float_spacing_ends_the_search(monkeypatch):
