@@ -111,12 +111,12 @@ def _lattice_sums(spread, step, **named) -> np.ndarray:
     return out.reshape(shape)
 
 
-def _sigma_gain(sigma, gain, kind: str = "positive"):
+def _sigma_gain(sigma, gain):
     # (shape, sigma, gain): the checked arguments as floats and their
     # broadcast shape, checked before the conversion turns a bool into a
     # float.  A single value comes back as numpy scalars, whose arithmetic
     # costs far less than that of one-element arrays
-    s = np.asarray(checked("sigma", sigma, kind), dtype=float)
+    s = np.asarray(checked("sigma", sigma, "positive"), dtype=float)
     g = np.asarray(checked("gain", gain, ">= 1"), dtype=float)
     shape = np.broadcast(s, g).shape
     if s.size == 1 and g.size == 1:
@@ -286,22 +286,11 @@ def tms_variance_noisy_gkp(sigma, sigma_gkp: float, gain):
     of the syndrome plus ancilla noise, with the shifts scaled by the
     decoder weight and the residual widened by the ancilla noise; at
     sigma_gkp = 0 it equals `tms_variance` bit for bit.  Broadcasts
-    `sigma` against `gain` like `tms_variance`; a channel with sigma = 0
-    leaves no noise.
+    `sigma` against `gain` like `tms_variance`.
     """
-    shape, sigma, g = _sigma_gain(sigma, gain, "nonnegative")
+    shape, sigma, g = _sigma_gain(sigma, gain)
     checked("sigma_gkp", sigma_gkp, "nonnegative")
-    live = sigma > 0
-    if live.all():
-        return shaped(_tms_lattice(sigma, g, sigma_gkp), shape)
-    # a noiseless row is exactly zero and is never summed; each noisy row
-    # sums only its own cells, so it keeps the bits of its lone call
-    live = np.broadcast_to(live, shape)
-    total = np.zeros(shape)
-    total[live] = _tms_lattice(
-        np.broadcast_to(sigma, shape)[live], np.broadcast_to(g, shape)[live], sigma_gkp
-    )
-    return shaped(total, shape)
+    return shaped(_tms_lattice(sigma, g, sigma_gkp), shape)
 
 
 def gkp_repetition_stds(sigma: float) -> tuple[float, float]:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._guard import checked, counted
 from .symplectic import (
     SymplecticTransform,
@@ -126,27 +128,35 @@ def gkp_squeezed_repetition(n_modes: int, lam: float, sigma_gkp: float = 0.0) ->
 
     applied in that order before it.  The resulting reshaped noise forms
     measurement chains that suppress both quadratures by lam^(N-1).
+    Raises ValueError for a lam whose circuit or decoder would overflow.
     """
     counted("n_modes", n_modes, 2)
     checked("lam", lam, "> 1")
+    # A float power raises OverflowError, a numpy one or a matmul
+    # FloatingPointError.  At channel noise sigma <= 1 decoders.read_rows'
+    # Gram-Schmidt forms no value above the largest squared row norm of S^-1
+    # plus 2 sigma_gkp^2, up to rounding: a quarter of the range leaves room
     try:
-        float(lam) ** (n_modes - 1)  # the largest squeezing of the circuit
-    except OverflowError:
-        raise ValueError(f"lam ** (n_modes - 1) must be finite, got lam={lam}") from None
-    enc = compose(
-        single_mode_squeeze(1.0 / lam, 1, 2),
-        single_mode_squeeze(lam, 2, 2),
-        sum_gate(1, 2, 2),
-    )
-    for n in range(3, n_modes + 1):
-        shifted = direct_sum(identity(1), enc)
-        enc = compose(
-            shifted,
-            single_mode_squeeze(lam ** (n - 1), 2, n),
-            single_mode_squeeze(1.0 / lam, 1, n),
-            sum_gate(1, 2, n),
-            single_mode_squeeze(1.0 / lam ** (n - 2), 1, n),
-        )
+        with np.errstate(over="raise", invalid="raise"):
+            enc = compose(
+                single_mode_squeeze(1.0 / lam, 1, 2),
+                single_mode_squeeze(lam, 2, 2),
+                sum_gate(1, 2, 2),
+            )
+            for n in range(3, n_modes + 1):
+                shifted = direct_sum(identity(1), enc)
+                enc = compose(
+                    shifted,
+                    single_mode_squeeze(lam ** (n - 1), 2, n),
+                    single_mode_squeeze(1.0 / lam, 1, n),
+                    sum_gate(1, 2, n),
+                    single_mode_squeeze(1.0 / lam ** (n - 2), 1, n),
+                )
+            top = np.square(inverse(enc).matrix).sum(axis=1).max()
+    except (OverflowError, FloatingPointError):
+        top = np.inf
+    if not top <= np.finfo(float).max / 4:
+        raise ValueError(f"lam must keep the {n_modes}-mode circuit and its decoder finite, got {lam}")
     return CodeSpec(
         encoder=enc, data_modes=1, ancilla_kind="gkp", ancilla_sigma_gkp=sigma_gkp
     )

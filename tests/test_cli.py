@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -398,15 +399,23 @@ def test_main_exit_codes(capsys):
         ("fig8 --points 2 --gkp-db -7000", "squeeze_db"),
         ("sweep --code squeezed-rep --modes 3 --lam 1e200 --points 2 --trials 100", "lam"),
         ("appendix-d --sigma-min 1e-300 --sigma-max 0.01 --points 2 --trials 1000", "lam"),
+        ("sweep --code squeezed-rep --modes 5 --lam 1e50 --points 2 --trials 100", "lam"),
+        ("appendix-d --sigma-min 1e-160 --sigma-max 0.01 --points 2 --modes 2 --trials 100",
+         "lam"),
     ],
-    ids=["fig8", "sweep", "appendix-d"],
+    ids=["fig8", "sweep", "appendix-d", "sweep-matmul", "appendix-d-decoder"],
 )
 def test_config_error_names_an_argument_that_overflows(argv, name, capsys):
-    # each raised a bare OverflowError, and the CLI printed a traceback
-    with pytest.raises(SystemExit) as err:
-        main(argv.split())
+    # the first three raised a bare OverflowError, and the CLI printed a
+    # traceback; the last two warned of an overflow in a matmul and then
+    # named a nan matrix or nan weights
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SystemExit) as err:
+            main(argv.split())
     assert err.value.code == 2
     assert capsys.readouterr().err.startswith(f"gkpstab: config error: {name} ")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_config_error_names_the_seed_of_an_experiment_that_never_samples(capsys):

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkpstab.codes import (
     CodeSpec,
@@ -13,6 +15,7 @@ from gkpstab.codes import (
     gkp_tms_pair,
     logical_gate,
 )
+from gkpstab.decoders import Decoder
 from gkpstab.symplectic import (
     apply,
     beam_splitter,
@@ -123,9 +126,29 @@ def test_squeezed_repetition_validation():
     with pytest.raises(ValueError):
         gkp_squeezed_repetition(3, 0.5)
     # lam ** 2 is beyond float range; it raised a bare OverflowError
-    with pytest.raises(ValueError, match=r"^lam \*\* \(n_modes - 1\) must be finite, "
-                                         r"got lam=1e\+200$"):
+    with pytest.raises(ValueError, match=r"^lam must keep the 3-mode circuit and its decoder "
+                                         r"finite, got 1e\+200$"):
         gkp_squeezed_repetition(3, 1e200)
+
+
+@settings(max_examples=200)
+@given(
+    n_modes=st.integers(2, 6),
+    log_lam=st.floats(0.0, 308.0, exclude_min=True),
+    sigma_gkp=st.sampled_from([0.0, 0.05]),
+)
+def test_squeezed_repetition_refuses_a_lam_that_overflows(n_modes, log_lam, sigma_gkp):
+    # a lam whose powers stay finite used to overflow the circuit's or the
+    # decoder's matmuls, warn, and fail later as a nan matrix or weights;
+    # the suite's filter turns any RuntimeWarning into an error here
+    try:
+        code = gkp_squeezed_repetition(n_modes, 10.0**log_lam, sigma_gkp)
+    except ValueError as err:
+        assert str(err).startswith("lam must ")
+        return
+    decoder = Decoder.for_code(code, 0.01)
+    assert np.isfinite(code.encoder.matrix).all()
+    assert np.isfinite(decoder.weights).all()
 
 
 @pytest.mark.parametrize(
