@@ -486,13 +486,29 @@ def test_sigma_arrays_name_their_first_bad_element(bad):
             f(sigmas, 0.05, np.array([2.0, 3.0]))
 
 
-def test_noiseless_channel_is_refused():
-    # sigma = 0 is refused like its siblings refuse it, alone or as one
-    # element of a sigma array broadcast against gains, at any ancilla noise
+_NOISELESS = r"^sigma must be finite and positive, got 0\.0$"
+
+
+def test_noisy_sigma_array_with_noiseless_rows():
+    # a zero element of a sigma array broadcast against gains is refused
+    # like its siblings refuse it, not given a row of zeros
     for sigma_gkp in (0.0, 0.05, 1e6):
-        for sigma, gain in ((0.0, 2.0), (np.array([0.2, 0.0, 0.4]), np.array([[2.0], [5.0]]))):
-            with pytest.raises(ValueError, match=r"^sigma must be finite and positive, got 0\.0$"):
-                tms_variance_noisy_gkp(sigma, sigma_gkp, gain)
+        with pytest.raises(ValueError, match=_NOISELESS):
+            tms_variance_noisy_gkp(np.array([0.2, 0.0, 0.4]), sigma_gkp, np.array([[2.0], [5.0]]))
+
+
+def test_noiseless_channel_gives_zero_of_gain_shape():
+    # sigma = 0 no longer gives zeros of the gain's shape: every shape is refused
+    for gain in (2.0, np.ones((2, 3)), np.ones((0,))):
+        with pytest.raises(ValueError, match=_NOISELESS):
+            tms_variance_noisy_gkp(0.0, 0.1, gain)
+
+
+def test_noiseless_channel_is_zero_at_any_ancilla_noise():
+    # sigma = 0 is refused at every ancilla noise, before any lattice is sized
+    for sigma_gkp in (0.0, 0.05, 1e6):
+        with pytest.raises(ValueError, match=_NOISELESS):
+            tms_variance_noisy_gkp(0.0, sigma_gkp, 2.0)
 
 
 def test_noisy_failure_names_the_row_sigma(monkeypatch):
