@@ -56,14 +56,14 @@ _FIG8_DB = (11.0, 12.8, 15.0, 20.0, 25.0, 30.0, math.inf)
 class ExperimentConfig:
     """Grid and sampling settings shared by the subcommands.
 
-    The field defaults are the command line's too: a shared flag left out
-    leaves its field's default in place.
+    The grid has no default (each subcommand's is in `build_parser`); a
+    shared flag left out leaves the other fields' defaults in place.
     """
 
     experiment: str
-    sigma_min: float = 0.02
-    sigma_max: float = 0.6
-    points: int = 30
+    sigma_min: float
+    sigma_max: float
+    points: int
     log_spacing: bool = False
     n_trials: int = 100_000
     seed: int = 20260823

@@ -254,14 +254,15 @@ def test_appendix_d_slopes():
 
 
 def test_appendix_d_rejects_empty_modes():
-    config = ExperimentConfig("appendix-d", points=2, n_trials=10)
+    config = ExperimentConfig("appendix-d", sigma_min=0.01, sigma_max=0.05, points=2,
+                              n_trials=10)
     with pytest.raises(ValueError, match="^modes must name at least one mode count$"):
         cmd_appendix_d(config, modes=())
 
 
 def test_fig8_rejects_empty_gkp_db():
     # an empty list wrote a CSV of its two header comments alone
-    config = ExperimentConfig("fig8", points=2)
+    config = ExperimentConfig("fig8", sigma_min=0.05, sigma_max=0.6, points=2)
     with pytest.raises(ValueError, match="^gkp_db must name at least one squeezing level$"):
         cmd_fig8(config, gkp_db=())
 
@@ -309,17 +310,41 @@ def test_sweep_header_names_only_the_builder_parameters(code_name, params, capsy
         assert capsys.readouterr().out.split("\r\n")[3:] == lines[3:]
 
 
+def _fig3(**fields):
+    # a fig3 config on the subcommand's own grid, with `fields` replaced
+    grid = {"sigma_min": 0.02, "sigma_max": 0.6, "points": 30}
+    return ExperimentConfig("fig3", **{**grid, **fields})
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
-        ExperimentConfig("fig3", points=1)
+        _fig3(points=1)
     with pytest.raises(ValueError):
-        ExperimentConfig("fig3", n_trials=0)
+        _fig3(n_trials=0)
     with pytest.raises(ValueError):
-        ExperimentConfig("fig3", sigma_min=0.3, sigma_max=0.1)
+        _fig3(sigma_min=0.3, sigma_max=0.1)
     for shards in (0, -2):
         with pytest.raises(ValueError, match=f"shards must be >= 1, got {shards}"):
-            ExperimentConfig("fig3", shards=shards)
-    assert ExperimentConfig("fig3", points=np.int64(3), n_trials=np.int32(5)).sigmas().size == 3
+            _fig3(shards=shards)
+    assert _fig3(points=np.int64(3), n_trials=np.int32(5)).sigmas().size == 3
+
+
+def _experiments():
+    # the subcommands that build an ExperimentConfig
+    subs = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    return [name for name, sub in subs.choices.items() if sub.get_default("experiment")]
+
+
+def test_a_config_without_a_grid_is_refused():
+    # each subcommand writes its own grid; a config built without one ran
+    # fig3's, which is no other experiment's
+    assert _experiments() == ["fig3", "fig45", "fig8", "appendix-d", "sweep"]
+    missing = "missing 3 required positional arguments: 'sigma_min', 'sigma_max', and 'points'"
+    for name in _experiments():
+        with pytest.raises(TypeError, match=re.escape(missing)):
+            ExperimentConfig(name)
+        with pytest.raises(TypeError, match="missing 1 required positional argument: 'points'"):
+            ExperimentConfig(name, sigma_min=0.02, sigma_max=0.6, n_trials=10)
 
 
 @pytest.mark.parametrize(
@@ -337,7 +362,7 @@ def test_config_validation():
 )
 def test_config_counts_must_be_integers(field, value, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        ExperimentConfig("fig3", **{field: value})
+        _fig3(**{field: value})
 
 
 def test_config_log_spacing_must_be_a_bool():
@@ -345,9 +370,9 @@ def test_config_log_spacing_must_be_a_bool():
     for bad in ("no", 1, 0.0, None):
         message = f"log_spacing must be a bool, got {bad!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            ExperimentConfig("fig3", log_spacing=bad, points=3)
+            _fig3(log_spacing=bad, points=3)
     for flag in (True, np.True_):
-        config = ExperimentConfig("fig3", log_spacing=flag, points=3)
+        config = _fig3(log_spacing=flag, points=3)
         assert "spacing=log" in config.describe()
         assert config.sigmas()[1] == pytest.approx(math.sqrt(0.02 * 0.6))
 
@@ -355,7 +380,7 @@ def test_config_log_spacing_must_be_a_bool():
 def test_config_rejects_non_finite_grid():
     for lo, hi in [(0.1, math.inf), (math.nan, 0.3), (0.1, math.nan)]:
         with pytest.raises(ValueError):
-            ExperimentConfig("fig3", sigma_min=lo, sigma_max=hi)
+            _fig3(sigma_min=lo, sigma_max=hi)
 
 
 def test_main_writes_file_and_reports_success(tmp_path):
@@ -558,7 +583,8 @@ def test_sample_submits_the_most_modes_first_and_returns_point_order(monkeypatch
     monkeypatch.setattr(cli, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(cli, "run", lambda code, dec, sigma, *args, **kw: (code.n_modes, sigma))
     points = [(gaussian_repetition(n), s) for n in (2, 5, 3) for s in (0.1, 0.2)]
-    config = ExperimentConfig("appendix-d", shards=2, n_trials=10)
+    config = ExperimentConfig("appendix-d", sigma_min=0.01, sigma_max=0.05, points=5,
+                              shards=2, n_trials=10)
     assert cli._sample(points, config) == [(code.n_modes, s) for code, s in points]
     assert submitted == [(5, 0.1), (5, 0.2), (3, 0.1), (3, 0.2), (2, 0.1), (2, 0.2)]
 
@@ -572,7 +598,8 @@ def test_flags_left_out_take_the_config_defaults(monkeypatch, capsys):
     fig45 = cli.cmd_fig45
     monkeypatch.setattr(cli, "cmd_fig45", lambda config: seen.append(config) or fig45(config))
     assert main(["fig45", "--points", "2"]) == 0
-    want = ExperimentConfig("fig45", points=2)
+    # fig45's own grid; --log, --trials, --seed and --shards take the defaults
+    want = ExperimentConfig("fig45", sigma_min=0.02, sigma_max=0.6, points=2)
     assert seen == [want]
     assert capsys.readouterr().out.split("\r\n")[1] == f"# {want.describe()}"
 
