@@ -9,6 +9,7 @@ by the probability of landing in it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,8 @@ _P = MODULAR_PERIOD
 # the most lattice cells either side of zero that a law may sum; optimize's
 # gain grid needs at most 7
 _N_MAX_LIMIT = 10**6
+# the least sigma whose pi^1.5 / (2 sigma^4) is finite
+_ASYMPTOTIC_SIGMA_MIN = (math.pi**1.5 / 2.0 / sys.float_info.max) ** 0.25
 
 
 def gaussian_pdf(x, sigma):
@@ -178,10 +181,22 @@ def single_read_laws(code: CodeSpec, sigma: float) -> tuple[MixturePdf, MixtureP
     landed in, has variance |e|^2 + sum_n w_n (c sqrt(2 pi) n)^2 over the
     cells of the read row's spread.  A quadrature without a read, or with
     an exact read, is Gaussian.  Raises ValueError for a decoder with
-    feed-forward or with two reads for one data quadrature.
+    feed-forward or with two reads for one data quadrature, and for a sigma
+    so small that the square of a width underflows below the normal floats
+    (sigma below ~2.1e-154 for `gkp_repetition`).
     """
     checked("sigma", sigma, "positive")
     _, f, rows, sigma_gkp, exact, unit = read_rows(code, sigma)
+
+    def width(row):
+        # unit^2 |row|^2 under the root keeps the bits the closed forms pin
+        square = unit * unit * (row @ row)
+        if not square >= sys.float_info.min:
+            raise ValueError(
+                f"sigma must keep the square of every width a normal float, got {sigma}"
+            )
+        return math.sqrt(square)
+
     if f[:-2].any():
         raise ValueError("single_read_laws needs a decoder without feed-forward")
     laws = []
@@ -189,13 +204,12 @@ def single_read_laws(code: CodeSpec, sigma: float) -> tuple[MixturePdf, MixtureP
         used = np.flatnonzero(weights)
         if used.size > 1:
             raise ValueError("single_read_laws needs at most one read per data quadrature")
-        # unit^2 |row|^2 under the root keeps the bits the closed forms pin
-        base = math.sqrt(unit * unit * (data @ data))
+        base = width(data)
         if not used.size or exact:
             laws.append(MixturePdf(np.ones(1), np.zeros(1), base))
             continue
         j = used[0]
-        spread = math.sqrt(unit * unit * (rows[j] @ rows[j]))
+        spread = width(rows[j])
         ns, w = _cells(spread, int(_n_max(spread, sigma=sigma, sigma_gkp=sigma_gkp)))
         laws.append(MixturePdf(w, weights[j] * _P * ns, base))
     return laws[0], laws[1]
@@ -267,10 +281,14 @@ def tms_asymptotic_optimum(sigma: float) -> tuple[float, float]:
     """Small-sigma limits of the optimal gain and achievable noise.
 
     Returns (gain, sigma_L).  Valid when log(pi^1.5 / (2 sigma^4)) is
-    positive, i.e. for sigma well below 1.
+    positive, i.e. for sigma well below 1, and finite: a sigma below
+    ~1.12e-77, where the quotient overflows, raises ValueError.
     """
     checked("sigma", sigma, "positive")
-    big_l = math.log(math.pi**1.5 / (2.0 * sigma**4))
+    if sigma < _ASYMPTOTIC_SIGMA_MIN:
+        raise ValueError(f"sigma must keep pi^1.5 / (2 sigma^4) finite, got {sigma}")
+    # sigma^4 overflows past ~1.2e77; from 2 on the log is negative anyway
+    big_l = math.log(math.pi**1.5 / (2.0 * min(sigma, 2.0)**4))
     if big_l <= 0:
         raise ValueError(f"asymptotic form invalid for sigma = {sigma}")
     gain = math.pi / (8.0 * sigma * sigma) / big_l + 0.5

@@ -164,9 +164,10 @@ def cmd_fig3(config: ExperimentConfig) -> str:
     )
     code = gkp_repetition()
     sigmas = config.sigmas()
+    # the closed forms first: they refuse a sigma before any point is sampled
+    analytic = [gkp_repetition_stds(float(sigma)) for sigma in sigmas]
     reports = _sample([(code, float(sigma)) for sigma in sigmas], config)
-    for sigma, report in zip(sigmas, reports):
-        std_q, std_p = gkp_repetition_stds(float(sigma))
+    for sigma, (std_q, std_p), report in zip(sigmas, analytic, reports):
         out.row(
             [sigma, std_q, std_p, report.std_q, report.std_p,
              report.se_std_q, report.se_std_p]
@@ -229,18 +230,25 @@ def cmd_appendix_d(
     The squeezing is tied to the channel noise through
     lam = wrap_constant * sqrt(2 pi) / sigma, which keeps every modular
     measurement deep inside its unique-decoding window while the
-    leading-order output noise scales like sigma^n.
+    leading-order output noise scales like sigma^n.  The code needs lam > 1,
+    so sigma_max must lie below wrap_constant * sqrt(2 pi).
     """
     if not modes:
         raise ValueError("modes must name at least one mode count")
     checked("wrap_constant", wrap_constant, "positive")
+    # lam = bound / sigma passes 1 only below the bound
+    bound = wrap_constant * MODULAR_PERIOD
+    if not bound / config.sigma_max > 1.0:
+        raise ValueError(
+            f"sigma_max must be below wrap_constant * sqrt(2 pi) = {bound:.6g} "
+            f"(wrap_constant={wrap_constant:g}) for lam > 1, got {config.sigma_max}"
+        )
     out = _CsvBuilder("gkpstab.appendix_d", config.describe())
     out.comment(f"modes={list(modes)} wrap_constant={wrap_constant:g}")
     out.row(["n", "sigma", "sigma_L_mc", "slope"])
     sigmas = config.sigmas()
     points = [
-        (gkp_squeezed_repetition(n_modes, wrap_constant * MODULAR_PERIOD / float(sigma)),
-         float(sigma))
+        (gkp_squeezed_repetition(n_modes, bound / float(sigma)), float(sigma))
         for n_modes in modes
         for sigma in sigmas
     ]

@@ -105,10 +105,18 @@ def _decoded(code, decoder, sigma, seed, stream, count):
 
 def _block(code, decoder, sigma, seed, index, count, edges):
     # one partial: the moment sums of q and of p, then, with a histogram, the
-    # counts and outside count of q and of p
+    # counts and outside count of q and of p.  Sums that overflow raise the
+    # ValueError of _too_large; numpy's error state is per thread, so the
+    # block sets its own
     out = _decoded(code, decoder, sigma, seed, index, count)
     xs = [np.asarray(x, dtype=float) for x in (out.xi_q, out.xi_p)]
-    parts = [_moment_sums(x) for x in xs]
+    parts = []
+    for quad, x in zip("qp", xs):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                parts.append(_moment_sums(x))
+        except FloatingPointError:
+            raise _too_large(quad, f"reach {np.abs(x).max():.3g}") from None
     if edges is not None:
         parts += [_histogram(x, edges) for x in xs]
     return np.concatenate(parts)
@@ -121,12 +129,29 @@ def _pilot_edges(code, decoder, sigma, seed):
     return np.linspace(-reach, reach, _N_BINS + 1)
 
 
-def _summary(n, sums):
-    mean = sums[0] / n
-    var = max((sums[1] - n * mean * mean) / (n - 1), 0.0) if n > 1 else 0.0
-    std = math.sqrt(var)
-    m4 = sums[3] / n - 4 * mean * sums[2] / n + 6 * mean**2 * sums[1] / n - 3 * mean**4
-    se_var = math.sqrt(max(m4 - var * var, 0.0) / n)
+def _too_large(quad: str, how: str) -> ValueError:
+    return ValueError(
+        f"quadrature {quad}'s outputs overflow their fourth-moment sums: they {how}"
+    )
+
+
+def _summary(n, partials, quad):
+    # mean, std and the standard errors of quadrature quad from its moment
+    # sums in the block partials, merged in block order; an overflow raises
+    # the ValueError of _too_large
+    at = slice(0, 4) if quad == "q" else slice(4, 8)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            sums = sum((p[at] for p in partials), 0.0)
+            mean = sums[0] / n
+            var = max((sums[1] - n * mean * mean) / (n - 1), 0.0) if n > 1 else 0.0
+            std = math.sqrt(var)
+            m4 = sums[3] / n - 4 * mean * sums[2] / n + 6 * mean**2 * sums[1] / n - 3 * mean**4
+            se_var = math.sqrt(max(m4 - var * var, 0.0) / n)
+    except FloatingPointError:
+        # each block's sum of fourth powers is finite, and so is its share
+        fourth = sum(p[at][3] / n for p in partials) ** 0.25
+        raise _too_large(quad, f"reach a root mean fourth power of {fourth:.3g}") from None
     se_std = se_var / (2.0 * std) if std > 0 else 0.0
     return mean, std, std / math.sqrt(n), se_std, se_var
 
@@ -176,13 +201,13 @@ def run(
             ]
             partials = [f.result() for f in futures]
 
-    # summed in block order; the counts stay exact as floats below 2^53
-    totals = sum(partials, 0.0)
-    mean_q, std_q, se_mq, se_sq, se_vq = _summary(n_trials, totals[:4])
-    mean_p, std_p, se_mp, se_sp, se_vp = _summary(n_trials, totals[4:8])
+    mean_q, std_q, se_mq, se_sq, se_vq = _summary(n_trials, partials, "q")
+    mean_p, std_p, se_mp, se_sp, se_vp = _summary(n_trials, partials, "p")
     counts_q = counts_p = outside_q = outside_p = None
     if histogram:
-        hist_q, hist_p = totals[8:].astype(np.int64).reshape(2, _N_BINS + 1)
+        # summed in block order; the counts stay exact as floats below 2^53
+        totals = sum((p[8:] for p in partials), 0.0)
+        hist_q, hist_p = totals.astype(np.int64).reshape(2, _N_BINS + 1)
         counts_q, outside_q = hist_q[:-1], int(hist_q[-1])
         counts_p, outside_p = hist_p[:-1], int(hist_p[-1])
     return TrialReport(

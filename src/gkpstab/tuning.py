@@ -8,6 +8,7 @@ noise and in ancilla quality.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,13 @@ __all__ = [
     "critical_gkp_squeezing_db",
 ]
 
-_OBJECTIVES = ("exact", "erfc_approx", "noisy_gkp")
+# objective -> the largest gain its formula keeps finite: the lattice sums
+# form G (G - 1), the erfc form 8 pi G (G - 1)
+_OBJECTIVES = {
+    "exact": math.sqrt(sys.float_info.max),
+    "erfc_approx": math.sqrt(sys.float_info.max / (8.0 * math.pi)),
+    "noisy_gkp": math.sqrt(sys.float_info.max),
+}
 _GRID_POINTS = 256
 _REL_TOL = 1e-6
 _SCAN_CHUNK = 10
@@ -59,7 +66,7 @@ def _objective(name: str, sigma_gkp: float):
     if name == "noisy_gkp":
         return lambda s, g: tms_variance_noisy_gkp(s, sigma_gkp, g)
     if name not in _OBJECTIVES:
-        raise ValueError(f"objective must be one of {_OBJECTIVES}, got {name!r}")
+        raise ValueError(f"objective must be one of {tuple(_OBJECTIVES)}, got {name!r}")
     if sigma_gkp > 0:
         raise ValueError(
             f"objective {name!r} assumes ideal ancillas, got sigma_gkp={sigma_gkp}; "
@@ -75,10 +82,21 @@ def _each(fn, x) -> np.ndarray:
     return np.array([fn(v) for v in x], dtype=float)
 
 
-def _grids(sigma) -> np.ndarray:
+def _grids(sigma, objective: str) -> np.ndarray:
     # one geometric gain grid per sigma, from G = 1 to where the amplified
-    # noise spans a measurement cell
-    top = np.maximum(2.0, math.pi / (2.0 * sigma * sigma))
+    # noise spans a measurement cell, pi / (2 sigma^2).  A sigma that puts
+    # that top past the largest gain of the objective's formula, any sigma
+    # below ~1.08e-77 (~2.42e-77 for erfc_approx), is refused before numpy
+    # can warn; where sigma^2 underflows the top is inf
+    gain_max = _OBJECTIVES[objective]
+    with np.errstate(over="ignore", divide="ignore"):
+        top = np.maximum(2.0, math.pi / (2.0 * sigma * sigma))
+    beyond = ~(top <= gain_max)
+    if beyond.any():
+        raise ValueError(
+            f"sigma must keep the gain grid's top, pi / (2 sigma^2), at most {gain_max:.6g} "
+            f"for the {objective!r} objective, got {np.extract(beyond, sigma)[0]}"
+        )
     return np.geomspace(1.0, top, _GRID_POINTS, axis=-1)
 
 
@@ -115,14 +133,16 @@ def optimize(sigma, sigma_gkp: float = 0.0, objective: str = "exact") -> GainOpt
     every sigma is searched in lockstep, and each gives the fields of its
     lone search bit for bit.  The "exact" and "erfc_approx" objectives
     assume ideal ancillas and reject sigma_gkp > 0; "noisy_gkp" takes any
-    sigma_gkp and equals "exact" bit for bit at sigma_gkp = 0.
+    sigma_gkp and equals "exact" bit for bit at sigma_gkp = 0.  A sigma
+    below ~1.08e-77 (~2.42e-77 for "erfc_approx") raises ValueError: its
+    gain grid would reach gains whose variance leaves the float range.
     """
     sig = np.asarray(checked("sigma", sigma, "positive"), dtype=float)
     checked("sigma_gkp", sigma_gkp, "nonnegative")
     fun = _objective(objective, sigma_gkp)
     shape, sig = sig.shape, sig.reshape(-1)
 
-    grids = _grids(sig)
+    grids = _grids(sig, objective)
     values = fun(sig[:, None], grids)
     k = np.argmin(values, axis=-1)
     rows = np.arange(sig.size)

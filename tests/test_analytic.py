@@ -215,6 +215,39 @@ def test_tms_asymptotic_optimum_reference():
             tms_asymptotic_optimum(sigma)
 
 
+def test_tms_asymptotic_optimum_refuses_a_sigma_its_formula_overflows():
+    # 1e-90 raised ZeroDivisionError (sigma^4 underflowed to zero), 1e-77
+    # gave (0.5, inf), and 1e80 raised OverflowError (sigma^4 overflowed).
+    # The float below the least sigma overflows pi^1.5 / (2 sigma^4)
+    least = 1.1155648284507399e-77
+    assert all(math.isfinite(v) for v in tms_asymptotic_optimum(least))
+    for sigma in (1e-90, 1e-77, float(np.nextafter(least, 0.0))):
+        with pytest.raises(ValueError, match=f"^sigma must keep .* finite, got {sigma}$"):
+            tms_asymptotic_optimum(sigma)
+    with pytest.raises(ValueError, match="^asymptotic form invalid for sigma = 1e[+]80$"):
+        tms_asymptotic_optimum(1e80)
+
+
+@pytest.mark.parametrize(
+    "code", [gkp_repetition(), gkp_tms(2.0, 0.1)], ids=["gkp-rep", "gkp-tms-noisy"]
+)
+@pytest.mark.parametrize("sigma", [1e-300, 1e-160])
+def test_single_read_laws_refuse_a_width_that_underflows(code, sigma):
+    # at 1e-300 the widths were zero, and erf divided by zero before
+    # MixturePdf named base_sigma; at 1e-160 their squares were subnormal
+    message = f"sigma must keep the square of every width a normal float, got {sigma}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        single_read_laws(code, sigma)
+
+
+def test_gkp_repetition_stds_least_sigma():
+    # the position residual's square, sigma^2 / 2, leaves the normal floats
+    # just below 2.11e-154
+    assert gkp_repetition_stds(2.11e-154)[0] > 0.0
+    with pytest.raises(ValueError, match="got 2.1e-154$"):
+        gkp_repetition_stds(2.1e-154)
+
+
 def test_noisy_gkp_reduces_to_ideal():
     # at sigma_gkp = 0 every factor of 1 + q is exactly one, so the noisy
     # variance keeps the ideal one's bits, over several lattice sizes and G = 1

@@ -443,6 +443,52 @@ def test_config_error_names_an_argument_that_overflows(argv, name, capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        ("fig45 --sigma-min 1e-90 --sigma-max 1e-80 --points 2", ["sigma"]),
+        ("fig8 --sigma-min 1e-90 --sigma-max 1e-80 --points 2", ["sigma"]),
+        ("fig45 --sigma-min 1e-200 --sigma-max 1e-190 --points 2", ["sigma"]),
+        ("fig8 --sigma-min 1e-160 --sigma-max 1e-150 --points 2 --gkp-db 15", ["sigma"]),
+        ("fig45 --sigma-min 1.1e-77 --sigma-max 1e-70 --points 2", ["sigma"]),
+        ("fig3 --sigma-min 1e-300 --sigma-max 1e-299 --points 2 --trials 10", ["sigma"]),
+        ("sweep --code squeezed-rep --modes 3 --lam 1e45 --points 2 --trials 100",
+         ["quadrature q's"]),
+        ("appendix-d --sigma-max 0.3 --trials 100", ["sigma_max", "wrap_constant"]),
+    ],
+    ids=["fig45", "fig8", "fig45-grid", "fig8-grid", "fig45-asymptotic", "fig3", "sweep",
+         "appendix-d"],
+)
+def test_config_error_names_a_sigma_out_of_range(argv, names, capsys, monkeypatch):
+    # fig45 and fig8 raised an ArithmeticError or named gain = inf, fig3
+    # named base_sigma after sampling, the sweep wrote nan and exited 0, and
+    # appendix-d named lam, which is not one of its flags
+    sampled, sample = [], cli._sample
+    monkeypatch.setattr(cli, "_sample", lambda *args: sampled.append(args) or sample(*args))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SystemExit) as err:
+            main(argv.split())
+    assert err.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"gkpstab: config error: {names[0]} ")
+    assert all(name in err for name in names)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    # every command but the sweep refuses its grid before it samples
+    assert bool(sampled) == argv.startswith("sweep")
+
+
+def test_the_bounds_leave_their_neighbours_running(capsys):
+    # a wrap constant that keeps lam > 1 takes sigma_max = 0.3, and a lam
+    # whose outputs reach ~1e61 gives finite rows
+    assert main("appendix-d --sigma-max 0.3 --wrap-constant 0.2 --trials 100".split()) == 0
+    capsys.readouterr()
+    argv = "sweep --code squeezed-rep --modes 3 --lam 1e30 --points 2 --trials 100"
+    assert main(argv.split()) == 0
+    _, rows = _rows(capsys.readouterr().out)
+    assert len(rows) == 2 and all(math.isfinite(float(v)) for row in rows for v in row)
+
+
 def test_config_error_names_the_seed_of_an_experiment_that_never_samples(capsys):
     for name in ("fig45", "fig8"):
         with pytest.raises(SystemExit) as err:

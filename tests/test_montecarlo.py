@@ -15,6 +15,7 @@ from gkpstab.codes import (
     gkp_tms,
 )
 from gkpstab.decoders import (
+    DecodeOutcome,
     Decoder,
     gaussian_repetition_decoder,
     gkp_repetition_decoder,
@@ -342,3 +343,26 @@ def test_moment_sums_match_pow_form():
         # the sums behind mean and std keep their exact bits
         assert got[:2].tobytes() == want[:2].tobytes()
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_moment_sums_that_overflow_name_their_quadrature():
+    # at lam = 1e45 the outputs reach ~1e89: x^4 overflowed, numpy warned,
+    # and the report held nan standard errors
+    code = gkp_squeezed_repetition(3, 1e45)
+    with pytest.raises(ValueError, match=r"^quadrature q's outputs overflow their fourth-moment "
+                                         r"sums: they reach 1\.\d+e\+89$"):
+        run(code, Decoder.for_code(code, 0.05), 0.05, 100, seed=1, histogram=False)
+    code = gkp_squeezed_repetition(3, 1e30)
+    rep = run(code, Decoder.for_code(code, 0.05), 0.05, 100, seed=1, histogram=False)
+    assert all(math.isfinite(getattr(rep, f)) for f in ("std_q", "std_p", "se_std_q", "se_std_p"))
+
+
+def test_moments_that_overflow_in_the_summary_name_their_quadrature():
+    # a lone output of 1e77 keeps its sums finite (x^4 = 1e308), but
+    # 4 mean sum(x^3) / n in the summary passes the float range
+    def decoder(z, rng):
+        return DecodeOutcome(np.zeros(len(z)), np.full(len(z), 1e77))
+
+    with pytest.raises(ValueError, match=r"^quadrature p's outputs overflow their fourth-moment "
+                                         r"sums: they reach a root mean fourth power of 1e\+77$"):
+        run(gaussian_repetition(2), decoder, 0.1, 1, seed=1, histogram=False)

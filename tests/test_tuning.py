@@ -184,7 +184,7 @@ def test_edge_sigmas_take_the_unit_gain_branch():
     for objective, sigma_gkp in _CASES:
         sigma = 0.55 if sigma_gkp == 0.05 else 0.556
         fun = tuning._objective(objective, sigma_gkp)
-        values = fun(sigma, tuning._grids(np.array([sigma]))[0])
+        values = fun(sigma, tuning._grids(np.array([sigma]), objective)[0])
         assert np.argmin(values) == 0
         assert values[0] > fun(sigma, 1.0 + 1e-9)
         assert optimize(sigma, sigma_gkp, objective).g_star > 1.0
@@ -341,3 +341,27 @@ def test_critical_squeezing_searches_every_window_sigma():
     assert optimize(0.34, sigma_gkp, "noisy_gkp").g_star > 1.0
     assert tuning._any_window(sigma_gkp)
     assert critical_gkp_squeezing_db() <= 10.95
+
+
+@pytest.mark.parametrize("sigma_gkp, objective", [(0.0, "exact"), (0.1, "noisy_gkp")])
+@pytest.mark.parametrize(
+    "sigma", [1e-90, 1e-200, np.array([0.1, 1e-90, 1e-100])], ids=["lone", "tiny", "array"]
+)
+def test_a_sigma_whose_gain_grid_overflows_is_refused(sigma, sigma_gkp, objective):
+    # below ~1.08e-77 G (G - 1) overflowed at the grid's top, pi / (2 sigma^2),
+    # and the search died with an ArithmeticError naming the gain; below
+    # ~1e-154 the grid itself overflowed, and the error named gain = inf
+    first = sigma if np.ndim(sigma) == 0 else sigma[1]
+    with pytest.raises(ValueError, match=f"^sigma must keep the gain grid's top.*got {first}$"):
+        optimize(sigma, sigma_gkp, objective)
+
+
+@pytest.mark.parametrize(
+    "least, objective", [(1.0823832142339445e-77, "exact"), (2.4234887802370514e-77, "erfc_approx")]
+)
+def test_the_least_sigma_a_search_takes_is_where_its_formula_overflows(least, objective):
+    # every sigma a search took before still searches; the float below the
+    # least overflowed the objective (numpy warned) and is now refused
+    assert optimize(least, 0.0, objective).g_star >= 1.0
+    with pytest.raises(ValueError, match=f"for the {objective!r} objective"):
+        optimize(float(np.nextafter(least, 0.0)), 0.0, objective)
