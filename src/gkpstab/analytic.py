@@ -41,10 +41,22 @@ _ASYMPTOTIC_SIGMA_MIN = (math.pi**1.5 / 2.0 / sys.float_info.max) ** 0.25
 
 
 def gaussian_pdf(x, sigma):
-    """Density of N(0, sigma^2) at x; an array `sigma` broadcasts against x."""
+    """Density of N(0, sigma^2) at x; an array `sigma` broadcasts against x.
+
+    A sigma whose square is below the normal floats (below ~1.5e-154) is
+    refused; an x so far out that its exponent overflows has density 0.
+    """
     checked("sigma", sigma, "positive")
-    x = np.asarray(x, dtype=float)
-    return np.exp(-(x * x) / (2.0 * sigma * sigma)) / np.sqrt(2.0 * math.pi * sigma * sigma)
+    # an exponent that overflows is -inf, whose exp is 0
+    with np.errstate(over="ignore"):
+        small = ~(np.multiply(sigma, sigma) >= sys.float_info.min)
+        if small.any():
+            raise ValueError(
+                f"sigma must keep its square a normal float, got {np.extract(small, sigma)[0]}"
+            )
+        x = np.asarray(x, dtype=float)
+        exponent = -(x * x) / (2.0 * sigma * sigma)
+    return np.exp(exponent) / np.sqrt(2.0 * math.pi * sigma * sigma)
 
 
 def _inputs_at(bad, **named) -> str:

@@ -19,6 +19,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from itertools import groupby
 
 import numpy as np
 
@@ -122,30 +123,45 @@ class _CsvBuilder:
 def _sample(points, config: ExperimentConfig) -> list:
     """Monte Carlo of every (code, sigma) point, decoded for its sigma.
 
-    The points share one pool of at most `config.shards` threads, and the
-    reports come back in point order.  The pool takes the points with the
-    most modes first, so the costliest runs do not form its tail.  A grid
-    of fewer points than shards hands each run the spare workers for its
-    blocks.  Every draw is a function of (seed, block index) only, so no
-    report depends on `shards` or on the order the runs take.
+    Consecutive points of one code object whose decoders are equal (the
+    same reads, ancilla noise and weight bits) form one `run` over their
+    sigmas, which draws each block once for all of them; the others run
+    alone.  The runs share one pool of at most `config.shards` threads,
+    and the reports come back in point order.  The pool takes the runs
+    with the most modes first, so the costliest do not form its tail.
+    Fewer runs than shards hand each run the spare workers.  Every draw is
+    a function of (seed, block index) only, so no report depends on
+    `shards`, on the order the runs take or on which points share one.
     """
-    shards = max(1, config.shards // len(points))
+    def decoded_alike(i):
+        # points of one code object whose decoders read alike, bit for bit
+        code, sigma = points[i]
+        d = Decoder.for_code(code, sigma)
+        return id(code), d.columns, d.sigma_gkp, d.exact, d.weights.tobytes()
 
-    def one(point):
-        code, sigma = point
-        return run(
-            code, Decoder.for_code(code, sigma), sigma, config.n_trials, config.seed,
-            shards, histogram=False,
-        )
+    runs = []  # (code, sigma or array of the sigmas that share its decoder)
+    for _, group in groupby(range(len(points)), key=decoded_alike):
+        code, sigma = points[next(group)]
+        rest = [points[i][1] for i in group]
+        runs.append((code, np.array([sigma, *rest]) if rest else sigma))
+    shards = max(1, config.shards // len(runs))
 
-    workers = min(config.shards, len(points))
+    def one(item):
+        code, sigma = item
+        # a run's sigmas share the decoder of its first
+        decoder = Decoder.for_code(code, sigma[0] if np.ndim(sigma) else sigma)
+        reports = run(code, decoder, sigma, config.n_trials, config.seed, shards,
+                      histogram=False)
+        return reports if np.ndim(sigma) else [reports]
+
+    workers = min(config.shards, len(runs))
     if workers == 1:
-        return [one(point) for point in points]
-    # a stable sort: points of one mode count keep their order
-    order = sorted(range(len(points)), key=lambda i: -points[i][0].n_modes)
+        return [r for item in runs for r in one(item)]
+    # a stable sort: runs of one mode count keep their order
+    order = sorted(range(len(runs)), key=lambda i: -runs[i][0].n_modes)
     with ThreadPoolExecutor(workers) as pool:
-        reports = dict(zip(order, pool.map(one, [points[i] for i in order])))
-    return [reports[i] for i in range(len(points))]
+        done = dict(zip(order, pool.map(one, [runs[i] for i in order])))
+    return [r for i in range(len(runs)) for r in done[i]]
 
 
 def cmd_fig3(config: ExperimentConfig) -> str:

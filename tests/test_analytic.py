@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -47,6 +48,39 @@ def test_gaussian_pdf_rejects_bad_width():
     for sigma in (0.0, -0.1, math.nan, math.inf, np.array([0.2, math.nan])):
         with pytest.raises(ValueError, match="^sigma must be finite and positive, got"):
             gaussian_pdf(0.5, sigma)
+
+
+def test_gaussian_pdf_refuses_a_sigma_whose_square_underflows():
+    # at 1e-200 the square was zero and the density nan, after numpy warned
+    # of 0 / 0; the refusal names the first such sigma
+    tiny = math.sqrt(sys.float_info.min)
+    for sigma, first in ((1e-200, 1e-200), (np.array([0.1, 1e-160, 1e-170]), 1e-160),
+                         (np.nextafter(tiny, 0.0), np.nextafter(tiny, 0.0))):
+        message = f"sigma must keep its square a normal float, got {first}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gaussian_pdf(0.0, sigma)
+    assert gaussian_pdf(0.0, np.nextafter(tiny, 1.0)) > 0.0
+
+
+def test_gaussian_pdf_is_zero_where_its_exponent_overflows():
+    # x * x, or x * x over 2 sigma^2, passes the float range: the density
+    # is 0, with no RuntimeWarning under the suite's filter
+    assert gaussian_pdf(1e200, 0.1) == 0.0
+    far = gaussian_pdf(np.array([0.0, 1e10, 1e300, -math.inf]), 1e-150)
+    assert far[0] > 0.0 and far[1:].tolist() == [0.0, 0.0, 0.0]
+    # the law of gkp_repetition's position at its smallest sigmas: every
+    # shifted piece lies far out
+    law_q, law_p = single_read_laws(gkp_repetition(), 3e-154)
+    for law in (law_q, law_p):
+        assert math.isfinite(law.pdf(0.0)) and law.pdf(0.0) > 0.0
+        assert law.pdf(1.0) == 0.0
+
+
+def test_gaussian_pdf_keeps_its_bits():
+    x = np.linspace(-3.0, 3.0, 61)
+    for sigma in (1e-150, 0.05, 0.3, 2.0, 1e100, np.array([[0.1], [0.7]])):
+        want = np.exp(-(x * x) / (2.0 * sigma * sigma)) / np.sqrt(2.0 * math.pi * sigma * sigma)
+        assert gaussian_pdf(x, sigma).tobytes() == want.tobytes()
 
 
 def test_cell_masses_normalized_and_symmetric():

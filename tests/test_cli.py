@@ -635,6 +635,48 @@ def test_sample_submits_the_most_modes_first_and_returns_point_order(monkeypatch
     assert submitted == [(5, 0.1), (5, 0.2), (3, 0.1), (3, 0.2), (2, 0.1), (2, 0.2)]
 
 
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        # one code object, and a decoder that does not depend on sigma
+        (["fig3", "--points", "5"], [5]),
+        (["sweep", "--code", "gkp-tms", "--points", "4"], [4]),
+        # one code per sigma, as lam = bound / sigma
+        (["appendix-d", "--points", "3", "--modes", "2", "--modes", "3"], [None] * 6),
+        # noisy ancillas weigh their reads by sigma
+        (["sweep", "--code", "gkp-tms", "--gkp-sigma", "0.05", "--points", "4"], [None] * 4),
+    ],
+    ids=["fig3", "sweep-ideal", "appendix-d", "sweep-noisy"],
+)
+@pytest.mark.parametrize("shards", ["1", "2"])
+def test_sample_runs_the_sigmas_of_one_code_and_decoder_together(
+    monkeypatch, capsys, argv, calls, shards
+):
+    # each run call's number of sigmas, None for a lone sigma; the CSV is
+    # the one every sigma run alone writes
+    seen = []
+    real = cli.run
+
+    def recording(code, decoder, sigma, *args, **kwargs):
+        seen.append(len(sigma) if np.ndim(sigma) else None)
+        return real(code, decoder, sigma, *args, **kwargs)
+
+    argv = argv + ["--trials", "300", "--seed", "7", "--shards", shards]
+    monkeypatch.setattr(cli, "run", recording)
+    assert main(argv) == 0
+    grouped = capsys.readouterr().out
+    assert seen == calls
+
+    def alone(code, decoder, sigma, *args, **kwargs):
+        if not np.ndim(sigma):
+            return real(code, decoder, sigma, *args, **kwargs)
+        return [real(code, decoder, float(s), *args, **kwargs) for s in sigma]
+
+    monkeypatch.setattr(cli, "run", alone)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == grouped
+
+
 def test_run_all_checks_clean():
     assert all(r.passed for r in run_all_checks(seed=77))
 

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkpstab.analytic import single_read_laws
 from gkpstab.codes import (
@@ -82,6 +84,77 @@ def test_pool_bounded_by_block_count(monkeypatch):
                 assert np.array_equal(a, b), field.name
             else:
                 assert float(a).hex() == float(b).hex(), field.name
+
+
+def _assert_same_report(a, b):
+    for field in dataclasses.fields(TrialReport):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        assert type(x) is type(y), field.name
+        if isinstance(x, np.ndarray):
+            assert np.array_equal(x, y) and x.dtype == y.dtype, field.name
+        elif x is not None:
+            assert float(x).hex() == float(y).hex(), field.name
+
+
+# the noisy-ancilla decoder is built once and shared by every sigma of a grid
+_GRID_CODES = {
+    "gkp-rep": (gkp_repetition(), gkp_repetition_decoder()),
+    "gkp-tms-noisy": (gkp_tms(2.0, 0.05), Decoder.for_code(gkp_tms(2.0, 0.05), 0.2)),
+}
+
+
+@settings(max_examples=30)
+@given(
+    st.sampled_from(sorted(_GRID_CODES)),
+    st.lists(st.floats(0.0, 0.6), min_size=1, max_size=4),
+    st.integers(1, 3),
+    # a lone trial, a one-row chunk tail, and a second block whose last
+    # chunk is one row
+    st.sampled_from([1, _CHUNK_ROWS + 1, BLOCK_SIZE + _CHUNK_ROWS + 1]),
+    st.booleans(),
+    st.integers(0, 2**16),
+)
+def test_a_sigma_grid_reports_what_each_lone_sigma_does(label, sigmas, shards, n, histogram,
+                                                        seed):
+    code, dec = _GRID_CODES[label]
+    grid = run(code, dec, np.array(sigmas), n, seed, shards, histogram)
+    assert isinstance(grid, list) and len(grid) == len(sigmas)
+    for sigma, report in zip(sigmas, grid):
+        _assert_same_report(report, run(code, dec, sigma, n, seed, shards, histogram))
+
+
+def test_a_sigma_grid_draws_each_block_once_per_slice(monkeypatch):
+    import gkpstab.montecarlo as montecarlo
+
+    drawn = []
+    stream = montecarlo.stream_rng
+
+    def recording(seed, index):
+        drawn.append(index)
+        return stream(seed, index)
+
+    monkeypatch.setattr(montecarlo, "stream_rng", recording)
+    code, dec = gkp_repetition(), gkp_repetition_decoder()
+    sigmas = [0.1, 0.2, 0.3, 0.4, 0.5]
+    for shards, slices in ((1, 1), (2, 2), (8, 5)):
+        drawn.clear()
+        reports = run(code, dec, sigmas, BLOCK_SIZE + 1, seed=4, shards=shards, histogram=False)
+        assert len(reports) == 5
+        assert sorted(drawn) == [0] * slices + [1] * slices
+
+
+def test_sigma_must_be_a_number_or_a_non_empty_1d_array():
+    code, dec = gkp_repetition(), gkp_repetition_decoder()
+    for bad in ([], np.zeros(0), np.full((2, 2), 0.1), [[0.1]]):
+        with pytest.raises(ValueError, match="^sigma must be a number or a non-empty 1-D array"):
+            run(code, dec, bad, 10, seed=1)
+    with pytest.raises(ValueError, match="^sigma must be finite and nonnegative, got -0.1$"):
+        run(code, dec, [0.1, -0.1], 10, seed=1)
+    # a 0-d array is a lone sigma; a one-element array or list is a grid
+    assert isinstance(run(code, dec, np.array(0.2), 10, seed=1), TrialReport)
+    for one in ([0.2], np.array([0.2])):
+        (report,) = run(code, dec, one, 10, seed=1)
+        _assert_same_report(report, run(code, dec, 0.2, 10, seed=1))
 
 
 def test_histogram_counts_complete():
@@ -184,6 +257,23 @@ def test_a_block_holds_no_whole_raw_draw():
     finally:
         tracemalloc.stop()
     assert peak <= 9.5 * 2**20, peak / 2**20
+
+
+def test_a_grid_block_holds_one_raw_draw_more():
+    # beside a lone sigma's peak, a block of several sigmas keeps its raw
+    # draw (5 MiB for squeezed-rep-5), and no earlier sigma's outcome
+    sigma = 0.03
+    code = gkp_squeezed_repetition(5, 0.08 * MODULAR_PERIOD / sigma)
+    dec = Decoder.for_code(code, sigma)
+    sigmas = [sigma, 0.02, 0.01]
+    run(code, dec, sigmas, 100, seed=3, histogram=False)
+    tracemalloc.start()
+    try:
+        run(code, dec, sigmas, BLOCK_SIZE, seed=3, histogram=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14.0 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize(
