@@ -133,23 +133,23 @@ def _sample(points, config: ExperimentConfig) -> list:
     a function of (seed, block index) only, so no report depends on
     `shards`, on the order the runs take or on which points share one.
     """
+    decoders = [Decoder.for_code(code, sigma) for code, sigma in points]
+
     def decoded_alike(i):
         # points of one code object whose decoders read alike, bit for bit
-        code, sigma = points[i]
-        d = Decoder.for_code(code, sigma)
-        return id(code), d.columns, d.sigma_gkp, d.exact, d.weights.tobytes()
+        d = decoders[i]
+        return id(points[i][0]), d.columns, d.sigma_gkp, d.exact, d.weights.tobytes()
 
-    runs = []  # (code, sigma or array of the sigmas that share its decoder)
+    runs = []  # (code, sigma or array of sigmas, the decoder they share)
     for _, group in groupby(range(len(points)), key=decoded_alike):
-        code, sigma = points[next(group)]
-        rest = [points[i][1] for i in group]
-        runs.append((code, np.array([sigma, *rest]) if rest else sigma))
+        first, *rest = group
+        code, sigma = points[first]
+        sigmas = np.array([sigma, *(points[i][1] for i in rest)]) if rest else sigma
+        runs.append((code, sigmas, decoders[first]))
     shards = max(1, config.shards // len(runs))
 
     def one(item):
-        code, sigma = item
-        # a run's sigmas share the decoder of its first
-        decoder = Decoder.for_code(code, sigma[0] if np.ndim(sigma) else sigma)
+        code, sigma, decoder = item
         reports = run(code, decoder, sigma, config.n_trials, config.seed, shards,
                       histogram=False)
         return reports if np.ndim(sigma) else [reports]

@@ -622,9 +622,9 @@ def test_sample_submits_the_most_modes_first_and_returns_point_order(monkeypatch
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, points):
-            submitted.extend((code.n_modes, sigma) for code, sigma in points)
-            return map(fn, points)
+        def map(self, fn, runs):
+            submitted.extend((code.n_modes, sigma) for code, sigma, _ in runs)
+            return map(fn, runs)
 
     monkeypatch.setattr(cli, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(cli, "run", lambda code, dec, sigma, *args, **kw: (code.n_modes, sigma))
